@@ -47,9 +47,9 @@ def split_indices(plan: CvPlan, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     out = []
     for s in range(plan.n_splits):
         rng = np.random.default_rng((int(plan.seed), s))
-        first = np.sort(rng.choice(n, size=n1, replace=False))
-        second = np.setdiff1d(np.arange(n), first)
-        out.append((first, second))
+        in_first = np.zeros(n, dtype=bool)
+        in_first[rng.choice(n, size=n1, replace=False)] = True
+        out.append((np.flatnonzero(in_first), np.flatnonzero(~in_first)))
     return out
 
 
@@ -84,6 +84,16 @@ def split_row_autocov(series: MatrixSeries, indices: np.ndarray, k: int) -> np.n
     return (lead.T @ base) / (idx.size * p)
 
 
+def _pair_moment_sum(series: MatrixSeries, indices: np.ndarray, h: int) -> np.ndarray:
+    """Sum over the subsample of vec(Y_t) vec(Y_{t+h})', skipping t + h past the end."""
+    n, p, q = series.n, series.p, series.q
+    idx = np.asarray(indices, dtype=int)
+    valid = idx[idx + h <= n - 1]
+    base = series.data[valid].reshape(valid.size, p * q)
+    lead = series.data[valid + h].reshape(valid.size, p * q)
+    return base.T @ lead
+
+
 def split_pair_product(series: MatrixSeries, indices: np.ndarray, h: int) -> np.ndarray:
     """Uncentered entry-pair second moments at lag h over a time subsample.
 
@@ -92,22 +102,24 @@ def split_pair_product(series: MatrixSeries, indices: np.ndarray, h: int) -> np.
     contribute zero.  The flattened (p*q, p*q) layout carries the same
     entry multiset as the corresponding Kronecker-product average.
     """
-    n, p, q = series.n, series.p, series.q
-    idx = np.asarray(indices, dtype=int)
-    valid = idx + h <= n - 1
-    base = series.data[idx[valid]].reshape(valid.sum(), p * q)
-    lead = series.data[idx[valid] + h].reshape(valid.sum(), p * q)
-    return (base.T @ lead) / idx.size
+    return _pair_moment_sum(series, indices, h) / np.asarray(indices).size
 
 
 def _grid_risk(first: np.ndarray, second: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Squared Frobenius distance between T_u(first) and second for every grid value."""
-    risks = np.empty(grid.size)
-    mags = np.abs(first)
-    for g, u in enumerate(grid):
-        kept = np.where(mags < u, 0.0, first)
-        risks[g] = np.sum((kept - second) ** 2)
-    return risks
+    """Squared Frobenius distance between T_u(first) and second for every grid value.
+
+    The grid must be non-decreasing, as threshold_grid returns it.  Keeping
+    an entry a instead of zeroing it changes its squared error from b**2 to
+    (a - b)**2, so risk(u) = sum(b**2) + sum over |a| >= u of a * (a - 2b).
+    Binning |a| by the number of levels it reaches and taking a reverse
+    cumulative sum of the per-bin terms gives every level in one pass.
+    Equal levels bound an empty bin, which adds exactly 0.0, so they tie.
+    """
+    a = first.ravel()
+    b = second.ravel()
+    bins = np.searchsorted(grid, np.abs(a), side="right")
+    gains = np.bincount(bins, weights=a * (a - 2.0 * b), minlength=grid.size + 1)
+    return b @ b + np.cumsum(gains[::-1])[::-1][1:]
 
 
 def cv_threshold_autocov(series: MatrixSeries, k: int, plan: CvPlan) -> float:
@@ -123,7 +135,7 @@ def cv_threshold_autocov(series: MatrixSeries, k: int, plan: CvPlan) -> float:
     series : MatrixSeries
         Observed series.
     k : int
-        Lag, 0 <= k <= n - 2.
+        Lag, 0 <= k <= n - 1.
     plan : CvPlan
         Split scheme; identical series and plan give identical output.
 
@@ -150,14 +162,17 @@ def cv_threshold_pair(series: MatrixSeries, h: int, plan: CvPlan) -> float:
 
     The split estimates are uncentered entry-pair second moments at lag h,
     whose entries live on the same scale as the row-pair cross-covariance
-    entries the threshold is applied to.
+    entries the threshold is applied to.  These moments are sums over time
+    points and the two parts of a split partition the time points, so only
+    the second-part product is formed per split; the first-part sum is the
+    full-sample sum minus it.
 
     Parameters
     ----------
     series : MatrixSeries
         Observed series.
     h : int
-        Lag, 0 <= h <= n - 2.
+        Lag, 0 <= h <= n - 1.
     plan : CvPlan
         Split scheme; identical series and plan give identical output.
 
@@ -174,12 +189,11 @@ def cv_threshold_pair(series: MatrixSeries, h: int, plan: CvPlan) -> float:
         )
     base = series.data[: n - h].reshape(n - h, p * q)
     lead = series.data[h:].reshape(n - h, p * q)
-    full = (base.T @ lead) / n
-    grid = threshold_grid(full, plan.grid_size)
+    total = base.T @ lead
+    grid = threshold_grid(total / n, plan.grid_size)
     risks = np.zeros(grid.size)
     for first, second in split_indices(plan, n):
-        a = split_pair_product(series, first, h)
-        b = split_pair_product(series, second, h)
-        risks += _grid_risk(a, b, grid)
+        part = _pair_moment_sum(series, second, h)
+        risks += _grid_risk((total - part) / first.size, part / second.size, grid)
     risks /= plan.n_splits
     return float(grid[int(np.argmin(risks))])
