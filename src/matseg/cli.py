@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     ResourceLimit,
 )
-from .estimators import pair_autocov_all
+from .estimators import _pair_lag_products
 from .segmentation import (
     CvThreshold,
     FixedThreshold,
@@ -176,8 +176,9 @@ def _correlogram_rows(data: np.ndarray, m: int, v_per_lag) -> list[tuple[int, in
     n = data.shape[0]
     transposed = MatrixSeries(np.swapaxes(data, 1, 2))
     q = transposed.p
+    centered = transposed.data - transposed.data.mean(axis=0)
     tensor0 = _thresholded_pair_tensor(
-        pair_autocov_all(transposed, 0), None if v_per_lag is None else v_per_lag[0], 0
+        _pair_lag_products(centered, 0), None if v_per_lag is None else v_per_lag[0], 0
     )
     variances = tensor0[np.arange(q), np.arange(q)][
         :, np.arange(data.shape[1]), np.arange(data.shape[1])
@@ -193,7 +194,7 @@ def _correlogram_rows(data: np.ndarray, m: int, v_per_lag) -> list[tuple[int, in
             tensor = tensor0
         else:
             tensor = _thresholded_pair_tensor(
-                pair_autocov_all(transposed, h),
+                _pair_lag_products(centered, h),
                 None if v_per_lag is None else v_per_lag[h],
                 h,
             )

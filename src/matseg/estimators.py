@@ -82,13 +82,20 @@ def pair_autocov_all(series: MatrixSeries, h: int) -> np.ndarray:
     -------
     ndarray, shape (p, p, q, q)
     """
-    n, p, q = series.n, series.p, series.q
-    h = _check_lag(h, n, "h")
+    h = _check_lag(h, series.n, "h")
+    return _pair_lag_products(series.data - series.data.mean(axis=0), h)
+
+
+def _pair_lag_products(centered: np.ndarray, h: int) -> np.ndarray:
+    """pair_autocov_all at lag h from data already centred by its full-sample mean.
+
+    Scoring passes centre once and call this per lag; h is not checked.
+    """
+    n, p, q = centered.shape
     if p * p * q * q > PAIR_TENSOR_ENTRY_LIMIT:
         raise ResourceLimit(
             f"row-pair covariance tensor would hold {p * p * q * q} entries"
         )
-    centered = series.data - series.data.mean(axis=0)
     lead = centered[h:].reshape(n - h, p * q)
     base = centered[: n - h].reshape(n - h, p * q)
     flat = (lead.T @ base) / n
@@ -187,9 +194,10 @@ def w_stat_rowpair(series: MatrixSeries, k0: int, v_per_lag=None) -> np.ndarray:
         raise InvalidInput(f"k0 must satisfy 1 <= k0 <= n - 2, got {k0} with n = {n}")
     if v_per_lag is not None and len(v_per_lag) != k0 + 1:
         raise InvalidInput(f"v_per_lag must have length {k0 + 1}, got {len(v_per_lag)}")
+    centered = series.data - series.data.mean(axis=0)
     acc = np.zeros((q, q))
     for k in range(0, k0 + 1):
-        tensor = pair_autocov_all(series, k)
+        tensor = _pair_lag_products(centered, k)
         if v_per_lag is not None:
             tensor = hard_threshold(tensor, v_per_lag[k])
         flat = tensor.reshape(p * p, q, q)

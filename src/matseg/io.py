@@ -101,10 +101,10 @@ def read_series(path) -> MatrixSeries | TensorSeries:
         if order < 2 or len(dims) != order or any(d < 1 for d in dims) or n < 2:
             raise ParseError(2, f"bad dimensions {lines[1]!r}")
     width = int(np.prod(dims))
-    payload = [line for line in lines[2:] if line]
+    payload = [(lineno, line) for lineno, line in enumerate(lines[2:], start=3) if line]
     if len(payload) != n:
         raise ParseError(3, f"expected {n} data lines, found {len(payload)}")
-    rows = [_parse_floats(line, 3 + t, width) for t, line in enumerate(payload)]
+    rows = [_parse_floats(line, lineno, width) for lineno, line in payload]
     stacked = np.stack(rows)
     if kind == "matrix":
         return MatrixSeries(stacked.reshape(n, *dims))

@@ -20,7 +20,7 @@ from .errors import (
     DegenerateVariance,
     InvalidInput,
 )
-from .estimators import hard_threshold, pair_autocov_all, row_autocov, w_stat
+from .estimators import _check_lag, _pair_lag_products, hard_threshold, row_autocov, w_stat
 from .linalg import inv_sqrt_psd, sym_eig
 from .series import MatrixSeries
 from .threshold_cv import CvPlan, cv_threshold_autocov, cv_threshold_pair
@@ -290,12 +290,14 @@ def cross_corr(
     gam = np.asarray(gamma, dtype=float)
     if gam.shape != (q, q):
         raise InvalidInput(f"gamma must have shape ({q}, {q}), got {gam.shape}")
-    tensor0 = _thresholded_pair_tensor(pair_autocov_all(standardized, 0), v, 0)
+    centered = standardized.data - standardized.data.mean(axis=0)
+    tensor0 = _thresholded_pair_tensor(_pair_lag_products(centered, 0), v, 0)
     scales = _component_scales(tensor0, gam)
     if h == 0:
         tensor = tensor0
     else:
-        tensor = _thresholded_pair_tensor(pair_autocov_all(standardized, h), v, h)
+        h = _check_lag(h, standardized.n, "h")
+        tensor = _thresholded_pair_tensor(_pair_lag_products(centered, h), v, h)
     vi = gam[:, i - 1]
     vj = gam[:, j - 1]
     numer = np.einsum("klab,a,b->kl", tensor, vi, vj)
@@ -327,8 +329,9 @@ def pair_score_matrix(
     if v_per_lag is not None and len(v_per_lag) != m + 1:
         raise InvalidInput(f"v_per_lag must have length {m + 1}, got {len(v_per_lag)}")
     gam = np.asarray(gamma, dtype=float)
+    centered = standardized.data - standardized.data.mean(axis=0)
     tensor0 = _thresholded_pair_tensor(
-        pair_autocov_all(standardized, 0), None if v_per_lag is None else v_per_lag[0], 0
+        _pair_lag_products(centered, 0), None if v_per_lag is None else v_per_lag[0], 0
     )
     scales = _component_scales(tensor0, gam)
     denom = np.einsum("ki,lj->klij", scales, scales)
@@ -338,13 +341,17 @@ def pair_score_matrix(
             tensor = tensor0
         else:
             tensor = _thresholded_pair_tensor(
-                pair_autocov_all(standardized, h),
+                _pair_lag_products(centered, h),
                 None if v_per_lag is None else v_per_lag[h],
                 h,
             )
         sandwich = np.tensordot(tensor, gam, axes=([2], [0]))
+        # the centred data live for the whole pass, so each lag's arrays are
+        # freed as soon as they are used: no product runs beside a spent one
+        del tensor
         sandwich = np.tensordot(sandwich, gam, axes=([2], [0]))
         corr = np.abs(sandwich / denom).max(axis=(0, 1))
+        del sandwich
         best = np.maximum(best, np.maximum(corr, corr.T))
     return best
 

@@ -20,6 +20,8 @@ from .segmentation import (
 from .series import MatrixSeries
 
 BURN_IN = 200
+# steps per stacked moving-average product; bounds its transient memory
+_MA_BLOCK = 64
 
 _EXAMPLE_PARTITIONS = {
     1: [[1, 2, 3], [4, 5], [6]],
@@ -50,12 +52,57 @@ class GroundTruth:
         return sorted(len(g) for g in self.partition)
 
 
+def _varma_paths(dim: int, lengths: list[int], rng: np.random.Generator) -> list[np.ndarray]:
+    """Independent VARMA(1, 1) paths of one dimension, run as one recursion.
+
+    Path i reads the stream exactly as a lone call of
+    gen_factor_varma(dim, lengths[i], rng) would, and paths read it in the
+    order of `lengths`.  Every step runs one stacked matrix-vector product
+    over all paths; shorter paths run zero-padded tail steps whose rows are
+    discarded.  Each product is the same BLAS matrix-vector call as a
+    per-path loop makes, and the sum keeps the order (phi eta + eps) -
+    theta eps_prev, so the output is bit-identical to that loop.
+    """
+    steps = [BURN_IN + n for n in lengths]
+    g, t_max = len(steps), max(steps)
+    phis, thetas = [], []
+    # row 0 holds eta_0, row t + 1 holds eps_t; step t overwrites row t
+    # (eps_{t-1}, already consumed by the moving-average block) with eta_t
+    buf = np.zeros((g, t_max + 2, dim))
+    for i, total in enumerate(steps):
+        phi = rng.uniform(-3.0, 3.0, (dim, dim))
+        phi *= 0.9 / np.linalg.norm(phi, ord=2)
+        phis.append(phi)
+        thetas.append(rng.uniform(-1.0, 1.0, (dim, dim)))
+        rng.standard_normal(out=buf[i, : total + 2])
+    # a lone path uses its matrices in place: no copy at large dims
+    phis = phis[0][None] if g == 1 else np.stack(phis)
+    thetas = (thetas[0][None] if g == 1 else np.stack(thetas))[:, None]
+    # (step, path, dim, 1) views, so each step indexes its rows once
+    rows = buf.transpose(1, 0, 2)[..., None]
+    ma = np.empty((_MA_BLOCK, g, dim, 1))
+    ar = np.empty((g, dim, 1))
+    for t in range(1, t_max + 1):
+        b = (t - 1) % _MA_BLOCK
+        if b == 0:
+            stop = min(t + _MA_BLOCK, t_max + 1)
+            np.matmul(thetas, rows[t:stop].swapaxes(0, 1), out=ma[: stop - t].swapaxes(0, 1))
+        np.matmul(phis, rows[t - 1], out=ar)
+        ar += rows[t + 1]
+        np.subtract(ar, ma[b], out=rows[t])
+    return [buf[i, BURN_IN + 1 : total + 1] for i, total in enumerate(steps)]
+
+
 def gen_factor_varma(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """A stationary VARMA(1, 1) path with randomized coefficients.
 
     The autoregressive matrix has independent U(-3, 3) entries rescaled to
     operator norm 0.9; the moving-average matrix has U(-1, 1) entries; the
     innovations are standard normal.  The first 200 steps are discarded.
+
+    The path reads the stream in a fixed order: the autoregressive matrix,
+    the moving-average matrix, then eta_0, eps_0, eps_1, ..., eps_{200+n}
+    as one (202 + n, dim) block of standard normals.
 
     Parameters
     ----------
@@ -73,19 +120,7 @@ def gen_factor_varma(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
         raise InvalidInput(f"dim must be positive, got {dim}")
     if n < 1:
         raise InvalidInput(f"n must be positive, got {n}")
-    phi = rng.uniform(-3.0, 3.0, (dim, dim))
-    phi *= 0.9 / np.linalg.norm(phi, ord=2)
-    theta = rng.uniform(-1.0, 1.0, (dim, dim))
-    total = BURN_IN + n
-    eta = rng.standard_normal(dim)
-    eps_prev = rng.standard_normal(dim)
-    out = np.empty((total, dim))
-    for t in range(total):
-        eps = rng.standard_normal(dim)
-        eta = phi @ eta + eps - theta @ eps_prev
-        eps_prev = eps
-        out[t] = eta
-    return out[BURN_IN:]
+    return _varma_paths(dim, [n], rng)[0]
 
 
 def _rotation_block(angle: float) -> np.ndarray:
@@ -102,6 +137,17 @@ def _example3_transform() -> np.ndarray:
     return a
 
 
+def _latent_series(partition: list[list[int]], p: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    # a separate frame, so the path buffer is freed before gen_example
+    # allocates the observed series
+    x = np.empty((n, p, sum(len(g) for g in partition)))
+    paths = _varma_paths(p, [n + len(g) - 1 for g in partition], rng)
+    for group, path in zip(partition, paths):
+        for shift, col in enumerate(group):
+            x[:, :, col - 1] = path[shift : shift + n]
+    return x
+
+
 def gen_example(example: int, n: int, rng: np.random.Generator) -> tuple[MatrixSeries, GroundTruth]:
     """One replication of a benchmark scenario.
 
@@ -110,6 +156,10 @@ def gen_example(example: int, n: int, rng: np.random.Generator) -> tuple[MatrixS
     observed series is Y_t = X_t A' with A drawn with U(-3, 3) entries for
     examples 1 and 2 and a fixed sparse orthogonal block-rotation matrix
     for example 3.
+
+    The stream is read group by group in partition order, each group's
+    path exactly as gen_factor_varma(p, n + len(group) - 1, rng) reads it,
+    and then, for examples 1 and 2, the entries of A.
 
     Parameters
     ----------
@@ -129,13 +179,8 @@ def gen_example(example: int, n: int, rng: np.random.Generator) -> tuple[MatrixS
     if n < 50:
         raise InvalidInput(f"n must be at least 50, got {n}")
     partition = [list(g) for g in _EXAMPLE_PARTITIONS[example]]
-    p = _EXAMPLE_ROWS[example]
     q = sum(len(g) for g in partition)
-    x = np.empty((n, p, q))
-    for group in partition:
-        path = gen_factor_varma(p, n + len(group) - 1, rng)
-        for shift, col in enumerate(group):
-            x[:, :, col - 1] = path[shift : shift + n]
+    x = _latent_series(partition, _EXAMPLE_ROWS[example], n, rng)
     if example == 3:
         a = _example3_transform()
     else:

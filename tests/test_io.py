@@ -138,6 +138,12 @@ def test_read_series_parse_errors(tmp_path):
     assert exc.value.line == 4
     assert "bad float" in exc.value.reason
 
+    # blank lines are skipped but still counted
+    with pytest.raises(ParseError) as exc:
+        io.read_series(_write(path, "matseg,matrix,1\n3,1,2\n1.0,2.0\n\n3.0,4.0\nx,5.0\n"))
+    assert exc.value.line == 6
+    assert "bad float" in exc.value.reason
+
     with pytest.raises(ParseError) as exc:
         io.read_series(_write(path, "matseg,matrix,1\n3,1,2\n1.0,2.0\n3.0,4.0\n"))
     assert exc.value.line == 3

@@ -24,6 +24,9 @@ from matseg import (
     segment,
     standardize,
 )
+from matseg.cli import _correlogram_rows
+from matseg.estimators import pair_autocov_all
+from matseg.segmentation import _component_scales, _thresholded_pair_tensor
 from oracles import brute_pair_scores, brute_univariate_corr, dfs_components
 
 
@@ -191,6 +194,57 @@ def test_pair_score_matrix_matches_brute_force():
         want = brute_pair_scores(std.data, gamma, m)
         assert np.max(np.abs(got - want)) <= 1e-12
         assert np.array_equal(got, got.T)
+
+
+def _per_lag_tensors(series, m, v_per_lag):
+    # one pair_autocov_all call, and so one centring, per lag
+    return [
+        _thresholded_pair_tensor(
+            pair_autocov_all(series, h), None if v_per_lag is None else v_per_lag[h], h
+        )
+        for h in range(m + 1)
+    ]
+
+
+def test_scoring_centres_once_bit_identical_to_per_lag_construction():
+    rng = np.random.default_rng(41)
+    data = rng.standard_normal((60, 3, 4))
+    data[1:] += 0.6 * data[:-1]
+    std = MatrixSeries(data)
+    gamma, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    m = 5
+    for v_per_lag in (None, [0.05] * (m + 1)):
+        tensors = _per_lag_tensors(std, m, v_per_lag)
+        scales = _component_scales(tensors[0], gamma)
+        denom = np.einsum("ki,lj->klij", scales, scales)
+        best = np.zeros((4, 4))
+        for h in range(m + 1):
+            sandwich = np.tensordot(tensors[h], gamma, axes=([2], [0]))
+            sandwich = np.tensordot(sandwich, gamma, axes=([2], [0]))
+            corr = np.abs(sandwich / denom).max(axis=(0, 1))
+            best = np.maximum(best, np.maximum(corr, corr.T))
+            if h in (0, 1, m):
+                want = np.einsum("klab,a,b->kl", tensors[h], gamma[:, 0], gamma[:, 2])
+                want = want / np.outer(scales[:, 0], scales[:, 2])
+                v = None if v_per_lag is None else v_per_lag[h]
+                assert np.array_equal(cross_corr(std, gamma, 1, 3, h, v=v), want)
+                sub = None if v_per_lag is None else v_per_lag[: h + 1]
+                assert np.array_equal(pair_score_matrix(std, gamma, h, sub), best)
+
+        # the correlogram scores the columns of the raw data, rows as components
+        transposed = MatrixSeries(np.swapaxes(data, 1, 2))
+        tensors = _per_lag_tensors(transposed, m, v_per_lag)
+        scale = np.sqrt(tensors[0][np.arange(4), np.arange(4)][:, np.arange(3), np.arange(3)])
+        want_rows = []
+        for h in range(m + 1):
+            peak = np.abs(tensors[h] / np.einsum("ia,jb->ijab", scale, scale)).max(axis=(2, 3))
+            want_rows += [
+                (i + 1, j + 1, h, float(max(peak[i, j], peak[j, i])))
+                for i in range(4)
+                for j in range(i, 4)
+            ]
+        want_rows.sort(key=lambda r: (r[0], r[1], r[2]))
+        assert _correlogram_rows(data, m, v_per_lag) == want_rows
 
 
 def test_pair_score_matrix_v_per_lag_length():

@@ -18,7 +18,7 @@ from matseg import (
     run_experiment,
 )
 from matseg.segmentation import SegmentationResult
-from matseg.simulation import BURN_IN, gen_factor_varma
+from matseg.simulation import _MA_BLOCK, BURN_IN, gen_factor_varma
 
 RT2 = np.sqrt(2.0)
 
@@ -40,11 +40,52 @@ def _mirror_factor_varma(dim, n, rng):
 
 
 def test_gen_factor_varma_matches_documented_construction():
-    for seed in (77, 78):
-        got = gen_factor_varma(3, 50, np.random.default_rng(seed))
-        want, phi = _mirror_factor_varma(3, 50, np.random.default_rng(seed))
-        assert np.array_equal(got, want)
+    # bit for bit, including the stream position after the call; BURN_IN +
+    # edge steps end exactly on a moving-average block boundary
+    edge = (BURN_IN // _MA_BLOCK + 1) * _MA_BLOCK - BURN_IN
+    cases = [(77, 3, 50), (78, 3, 50)] + [
+        ((79, dim, n), dim, n)
+        for dim in (1, 10, 480)
+        for n in [1, 50, edge, edge + 1] + ([1500] if dim < 480 else [])
+    ]
+    for seed, dim, n in cases:
+        got_rng = np.random.default_rng(seed)
+        want_rng = np.random.default_rng(seed)
+        got = gen_factor_varma(dim, n, got_rng)
+        want, phi = _mirror_factor_varma(dim, n, want_rng)
+        assert got.shape == want.shape == (n, dim)
+        assert got.tobytes() == want.tobytes(), (dim, n)
+        assert got_rng.standard_normal() == want_rng.standard_normal()
         assert abs(np.linalg.norm(phi, ord=2) - 0.9) <= 1e-10
+
+
+def _mirror_example(example, n, rng, a3):
+    # the one-path-at-a-time construction: groups in partition order, then A
+    p, partition = {
+        1: (3, [[1, 2, 3], [4, 5], [6]]),
+        2: (6, [[1, 2, 3], [4, 5], [6]]),
+        3: (10, [[1, 2, 3, 4], [5, 6, 7], [8, 9], [10]]),
+    }[example]
+    q = sum(len(g) for g in partition)
+    x = np.empty((n, p, q))
+    for group in partition:
+        path, _ = _mirror_factor_varma(p, n + len(group) - 1, rng)
+        for shift, col in enumerate(group):
+            x[:, :, col - 1] = path[shift : shift + n]
+    a = a3 if example == 3 else rng.uniform(-3.0, 3.0, (q, q))
+    return x @ a.T, a
+
+
+def test_gen_example_bit_identical_to_sequential_mirror():
+    for example in (1, 2, 3):
+        for n in (50, 57, 1500):
+            got_rng = np.random.default_rng((80, example, n))
+            want_rng = np.random.default_rng((80, example, n))
+            series, truth = gen_example(example, n, got_rng)
+            want_y, want_a = _mirror_example(example, n, want_rng, truth.a)
+            assert series.data.tobytes() == want_y.tobytes(), (example, n)
+            assert truth.a.tobytes() == want_a.tobytes()
+            assert got_rng.standard_normal() == want_rng.standard_normal()
 
 
 def test_gen_factor_varma_deterministic_and_shaped():
