@@ -21,15 +21,14 @@ from .errors import (
     ParseError,
     ResourceLimit,
 )
-from .estimators import _pair_lag_products
 from .segmentation import (
     CvThreshold,
     FixedThreshold,
     NoThreshold,
     SegmentationConfig,
-    _resolve_v_per_lag,
-    _thresholded_pair_tensor,
+    lag_scores,
     segment,
+    threshold_levels,
 )
 from .series import MatrixSeries, TensorSeries
 from .simulation import gen_example, run_experiment
@@ -140,7 +139,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eps", type=float, default=1e-10, help="eigenvalue floor")
 
 
-def _resolve_threads(value: int | None) -> int:
+def _thread_count(value: int | None) -> int:
     if value is not None:
         return max(1, value)
     env = os.environ.get("MATSEG_THREADS")
@@ -171,43 +170,6 @@ def cmd_segment(in_path: str, out_path: str, cfg: SegmentationConfig) -> None:
     mio.write_result(out_path, doc)
 
 
-def _correlogram_rows(data: np.ndarray, m: int, v_per_lag) -> list[tuple[int, int, int, float]]:
-    """Max absolute entry correlations for every unordered column pair and lag."""
-    n = data.shape[0]
-    transposed = MatrixSeries(np.swapaxes(data, 1, 2))
-    q = transposed.p
-    centered = transposed.data - transposed.data.mean(axis=0)
-    tensor0 = _thresholded_pair_tensor(
-        _pair_lag_products(centered, 0), None if v_per_lag is None else v_per_lag[0], 0
-    )
-    variances = tensor0[np.arange(q), np.arange(q)][
-        :, np.arange(data.shape[1]), np.arange(data.shape[1])
-    ]
-    bad = np.argwhere(variances <= 0)
-    if bad.size:
-        i, a = bad[0]
-        raise DegenerateVariance(int(i) + 1, int(a) + 1)
-    scale = np.sqrt(variances)
-    rows = []
-    for h in range(0, m + 1):
-        if h == 0:
-            tensor = tensor0
-        else:
-            tensor = _thresholded_pair_tensor(
-                _pair_lag_products(centered, h),
-                None if v_per_lag is None else v_per_lag[h],
-                h,
-            )
-        denom = np.einsum("ia,jb->ijab", scale, scale)
-        corr = np.abs(tensor / denom)
-        peak = corr.max(axis=(2, 3))
-        for i in range(q):
-            for j in range(i, q):
-                rows.append((i + 1, j + 1, h, float(max(peak[i, j], peak[j, i]))))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return rows
-
-
 def cmd_correlogram(
     in_path: str,
     out_path: str,
@@ -215,25 +177,43 @@ def cmd_correlogram(
     threshold,
     gamma_path: str | None = None,
 ) -> None:
-    """Write the per-pair maximal absolute correlations of a series."""
+    """Write the per-lag maximal absolute correlations of every column pair.
+
+    These are the pair scores of the segmentation broken down by lag
+    (:func:`matseg.segmentation.lag_scores`), taken on the series itself or,
+    given a result document, on its transformed series.
+    """
     series = mio.read_series(in_path)
     if not isinstance(series, MatrixSeries):
         raise InvalidInput("the correlogram command requires a matrix series")
     if m < 0 or m > series.n - 2:
         raise InvalidInput(f"m must satisfy 0 <= m <= n - 2, got {m}")
+    q = series.q
     data = series.data
     if gamma_path is not None:
         doc = mio.read_result(gamma_path)
         if doc.get("kind") != "matrix":
             raise InvalidInput("only matrix result documents carry a usable gamma")
-        standardizer = np.asarray(doc["standardizer"], dtype=float)
-        gamma = np.asarray(doc["gamma"], dtype=float)
-        if standardizer.shape != (series.q, series.q) or gamma.shape != (series.q, series.q):
+        try:
+            standardizer = np.asarray(doc["standardizer"], dtype=float)
+            gamma = np.asarray(doc["gamma"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInput(
+                f"result document lacks a numeric standardizer and gamma: {exc!r}"
+            ) from exc
+        if standardizer.shape != (q, q) or gamma.shape != (q, q):
             raise InvalidInput("result document dimensions do not match the series")
         data = data @ standardizer @ gamma
-    transposed = MatrixSeries(np.swapaxes(data, 1, 2))
-    v_per_lag = _resolve_v_per_lag(transposed, threshold, m)
-    mio.write_correlogram_csv(out_path, _correlogram_rows(data, m, v_per_lag))
+    transformed = MatrixSeries(data)
+    v_per_lag = threshold_levels(threshold, transformed, 1, range(m + 1))
+    scores = lag_scores(transformed, np.eye(q), m, v_per_lag)
+    rows = [
+        (i + 1, j + 1, h, float(scores[h, i, j]))
+        for i in range(q)
+        for j in range(i, q)
+        for h in range(m + 1)
+    ]
+    mio.write_correlogram_csv(out_path, rows)
 
 
 def cmd_replicate(
@@ -326,7 +306,7 @@ def main(argv=None) -> int:
                 args.reps,
                 _config_from_args(args),
                 args.seed,
-                _resolve_threads(args.threads),
+                _thread_count(args.threads),
                 args.out,
             )
     except _NUMERICAL_ERRORS as exc:

@@ -37,7 +37,10 @@ def row_autocov(series: MatrixSeries, k: int) -> np.ndarray:
     """
     n, p, q = series.n, series.p, series.q
     k = _check_lag(k, n, "k")
-    centered = series.data - series.data.mean(axis=0)
+    data = series.data
+    # one C-ordered buffer, so the reshapes below are views even when the
+    # series is a strided view (as every tensor mode is)
+    centered = np.subtract(data, data.mean(axis=0), out=np.empty(data.shape))
     lead = centered[k:].reshape((n - k) * p, q)
     base = centered[: n - k].reshape((n - k) * p, q)
     return (lead.T @ base) / (n * p)

@@ -130,7 +130,7 @@ def read_truth(path) -> GroundTruth:
         lines = handle.read().splitlines()
     if not lines or lines[0] != f"{MAGIC_PREFIX},truth,{FORMAT_VERSION}":
         raise ParseError(1, "not a truth file")
-    header = _parse_ints(lines[1].split(","), 2)
+    header = _parse_ints(lines[1].split(","), 2) if len(lines) > 1 else []
     if len(header) != 3:
         raise ParseError(2, "expected q,q1,example")
     q, q1, example = header

@@ -119,22 +119,44 @@ def _cv_plan(mode: CvThreshold, kind: int, lag: int) -> CvPlan:
     return CvPlan(n_splits=mode.n_splits, grid_size=mode.grid_size, seed=derived)
 
 
+def threshold_levels(
+    threshold: ThresholdMode, series: MatrixSeries, kind: int, lags
+) -> list[float] | None:
+    """Hard-threshold level of one covariance estimate at each given lag.
+
+    kind 0 selects the row-averaged autocovariances (levels u), kind 1 the
+    row-pair cross-covariances (levels v).  Cross-validation chooses its
+    levels on the given series; NoThreshold gives None.  The pipeline reads
+    the threshold mode here only.
+    """
+    if kind not in (0, 1):
+        raise InvalidInput(f"kind must be 0 or 1, got {kind}")
+    if isinstance(threshold, FixedThreshold):
+        level = threshold.v if kind else threshold.u
+        return [level for _ in lags]
+    if isinstance(threshold, CvThreshold):
+        estimate = cv_threshold_pair if kind else cv_threshold_autocov
+        return [estimate(series, lag, _cv_plan(threshold, kind, lag)) for lag in lags]
+    return None
+
+
 def standardize(
     series: MatrixSeries,
-    threshold: ThresholdMode = NoThreshold(),
+    u0: float | None = None,
     eps: float = 1e-10,
 ) -> tuple[MatrixSeries, np.ndarray]:
     """Rescale the series so its row-averaged lag-0 covariance is the identity.
 
-    Under a threshold mode the lag-0 covariance is hard-thresholded with
-    its diagonal kept before the inverse square root is taken.
+    Given a level u0 the lag-0 covariance is hard-thresholded with its
+    diagonal kept before the inverse square root is taken.
 
     Parameters
     ----------
     series : MatrixSeries
         Raw observed series.
-    threshold : NoThreshold, FixedThreshold or CvThreshold
-        Thresholding applied to the lag-0 covariance.
+    u0 : float or None
+        Threshold level for the lag-0 covariance, as resolved by
+        :func:`threshold_levels`; None leaves it raw.
     eps : float
         Relative eigenvalue floor for the inverse square root.
 
@@ -155,47 +177,10 @@ def standardize(
     for idx in range(series.q):
         if variances[idx] <= 0:
             raise DegenerateColumn(idx + 1)
-    if isinstance(threshold, FixedThreshold):
-        cov0 = hard_threshold(cov0, threshold.u, keep_diagonal=True)
-    elif isinstance(threshold, CvThreshold):
-        u0 = cv_threshold_autocov(series, 0, _cv_plan(threshold, 0, 0))
+    if u0 is not None:
         cov0 = hard_threshold(cov0, u0, keep_diagonal=True)
     standardizer = inv_sqrt_psd(cov0, eps)
     return MatrixSeries(series.data @ standardizer), standardizer
-
-
-def _resolve_u_lag0(series: MatrixSeries, threshold: ThresholdMode) -> float | None:
-    if isinstance(threshold, FixedThreshold):
-        return threshold.u
-    if isinstance(threshold, CvThreshold):
-        return cv_threshold_autocov(series, 0, _cv_plan(threshold, 0, 0))
-    return None
-
-
-def _resolve_u_per_lag(
-    standardized: MatrixSeries, threshold: ThresholdMode, k0: int
-) -> list[float] | None:
-    if isinstance(threshold, FixedThreshold):
-        return [threshold.u] * k0
-    if isinstance(threshold, CvThreshold):
-        return [
-            cv_threshold_autocov(standardized, k, _cv_plan(threshold, 0, k))
-            for k in range(1, k0 + 1)
-        ]
-    return None
-
-
-def _resolve_v_per_lag(
-    standardized: MatrixSeries, threshold: ThresholdMode, m: int
-) -> list[float] | None:
-    if isinstance(threshold, FixedThreshold):
-        return [threshold.v] * (m + 1)
-    if isinstance(threshold, CvThreshold):
-        return [
-            cv_threshold_pair(standardized, h, _cv_plan(threshold, 1, h))
-            for h in range(0, m + 1)
-        ]
-    return None
 
 
 def estimate_gamma(standardized: MatrixSeries, cfg: SegmentationConfig) -> np.ndarray:
@@ -214,7 +199,7 @@ def estimate_gamma(standardized: MatrixSeries, cfg: SegmentationConfig) -> np.nd
     ndarray, shape (q, q)
         Orthonormal eigenvector columns, eigenvalues descending.
     """
-    u_per_lag = _resolve_u_per_lag(standardized, cfg.threshold, cfg.k0)
+    u_per_lag = threshold_levels(cfg.threshold, standardized, 0, range(1, cfg.k0 + 1))
     _, vectors = sym_eig(w_stat(standardized, cfg.k0, u_per_lag))
     return vectors
 
@@ -304,24 +289,24 @@ def cross_corr(
     return numer / np.outer(scales[:, i - 1], scales[:, j - 1])
 
 
-def pair_score_matrix(
+def lag_scores(
     standardized: MatrixSeries,
     gamma: np.ndarray,
     m: int,
     v_per_lag: list[float] | None = None,
 ) -> np.ndarray:
-    """Maximal absolute cross-correlation for every pair of transformed columns.
+    """Maximal absolute cross-correlation of every pair of transformed columns, per lag.
 
-    Entry (i, j) is the largest absolute correlation between any component
-    of column i and any component of column j over lags -m..m; lags of both
-    signs are covered through the transpose identity relating the lag -h
-    and lag h sample cross-covariances.
+    Entry (h, i, j) is the largest absolute correlation between any
+    component of column i and any component of column j at lags h and -h;
+    the lag -h sample cross-covariances are the transposes of the lag h
+    ones, so each lag's matrix is symmetric.  Under v_per_lag entry h
+    thresholds the lag-h covariances, and entry 0 also those behind the
+    correlation denominators (variances kept).
 
     Returns
     -------
-    ndarray, shape (q, q)
-        Symmetric matrix; the diagonal holds each column's own score and is
-        not used by the segmentation.
+    ndarray, shape (m + 1, q, q)
     """
     n = standardized.n
     if not 0 <= m <= n - 2:
@@ -335,7 +320,7 @@ def pair_score_matrix(
     )
     scales = _component_scales(tensor0, gam)
     denom = np.einsum("ki,lj->klij", scales, scales)
-    best = np.zeros((standardized.q, standardized.q))
+    scores = np.empty((m + 1, standardized.q, standardized.q))
     for h in range(0, m + 1):
         if h == 0:
             tensor = tensor0
@@ -352,8 +337,29 @@ def pair_score_matrix(
         sandwich = np.tensordot(sandwich, gam, axes=([2], [0]))
         corr = np.abs(sandwich / denom).max(axis=(0, 1))
         del sandwich
-        best = np.maximum(best, np.maximum(corr, corr.T))
-    return best
+        np.maximum(corr, corr.T, out=scores[h])
+    return scores
+
+
+def pair_score_matrix(
+    standardized: MatrixSeries,
+    gamma: np.ndarray,
+    m: int,
+    v_per_lag: list[float] | None = None,
+) -> np.ndarray:
+    """Maximal absolute cross-correlation for every pair of transformed columns.
+
+    Entry (i, j) is the largest absolute correlation between any component
+    of column i and any component of column j over lags -m..m: the maximum
+    over h of :func:`lag_scores`.
+
+    Returns
+    -------
+    ndarray, shape (q, q)
+        Symmetric matrix; the diagonal holds each column's own score and is
+        not used by the segmentation.
+    """
+    return lag_scores(standardized, gamma, m, v_per_lag).max(axis=0)
 
 
 def max_cross_corr(
@@ -371,7 +377,7 @@ def max_cross_corr(
     q = standardized.q
     if not (1 <= i < j <= q):
         raise InvalidInput(f"need 1 <= i < j <= {q}, got ({i}, {j})")
-    v_per_lag = _resolve_v_per_lag(standardized, cfg.threshold, cfg.m)
+    v_per_lag = threshold_levels(cfg.threshold, standardized, 1, range(cfg.m + 1))
     matrix = pair_score_matrix(standardized, gamma, cfg.m, v_per_lag)
     return float(matrix[i - 1, j - 1])
 
@@ -485,7 +491,8 @@ def group_columns(edges, q: int) -> list[list[int]]:
 
 
 def _trivial_result(series: MatrixSeries, cfg: SegmentationConfig) -> SegmentationResult:
-    standardized, standardizer = standardize(series, cfg.threshold, cfg.eps)
+    # thresholding leaves the variance of a lone column as it is
+    standardized, standardizer = standardize(series, None, cfg.eps)
     gamma = np.eye(1)
     return SegmentationResult(
         gamma=gamma,
@@ -518,18 +525,12 @@ def segment(series: MatrixSeries, cfg: SegmentationConfig | None = None) -> Segm
     q = series.q
     if q == 1:
         return _trivial_result(series, cfg)
-    u_lag0 = _resolve_u_lag0(series, cfg.threshold)
-    if u_lag0 is None:
-        standardized, standardizer = standardize(series, NoThreshold(), cfg.eps)
-    else:
-        # the level is already resolved, so apply it directly instead of
-        # re-running any cross-validation inside standardize
-        standardized, standardizer = standardize(
-            series, FixedThreshold(u=u_lag0, v=0.0), cfg.eps
-        )
-    u_per_lag = _resolve_u_per_lag(standardized, cfg.threshold, cfg.k0)
+    lag0 = threshold_levels(cfg.threshold, series, 0, [0])
+    u_lag0 = None if lag0 is None else lag0[0]
+    standardized, standardizer = standardize(series, u_lag0, cfg.eps)
+    u_per_lag = threshold_levels(cfg.threshold, standardized, 0, range(1, cfg.k0 + 1))
     _, gamma = sym_eig(w_stat(standardized, cfg.k0, u_per_lag))
-    v_per_lag = _resolve_v_per_lag(standardized, cfg.threshold, cfg.m)
+    v_per_lag = threshold_levels(cfg.threshold, standardized, 1, range(cfg.m + 1))
     matrix = pair_score_matrix(standardized, gamma, cfg.m, v_per_lag)
     pairs = [
         (i + 1, j + 1, float(matrix[i, j]))

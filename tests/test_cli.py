@@ -7,8 +7,13 @@ import numpy as np
 import pytest
 
 from matseg import io as mio
-from matseg.cli import _resolve_threads, main
-from matseg.segmentation import CvThreshold, SegmentationConfig
+from matseg.cli import _thread_count, main
+from matseg.segmentation import (
+    CvThreshold,
+    SegmentationConfig,
+    lag_scores,
+    threshold_levels,
+)
 from matseg.series import MatrixSeries, TensorSeries
 
 
@@ -167,7 +172,7 @@ def test_correlogram_gamma_applies_stored_transformation(tmp_path):
     assert via_gamma.read_bytes() == direct.read_bytes()
 
 
-def test_correlogram_input_validation(tmp_path):
+def test_correlogram_input_validation(tmp_path, capsys):
     rng = np.random.default_rng((920, 1))
     matrix_path = tmp_path / "m.txt"
     mio.write_series(matrix_path, MatrixSeries(rng.standard_normal((20, 2, 3))))
@@ -191,6 +196,55 @@ def test_correlogram_input_validation(tmp_path):
     assert _run(
         ["correlogram", matrix_path, "--out", out, "--m", 2, "--gamma", other_result]
     ) == 3
+
+    # matrix documents without a standardizer or gamma, or with a ragged one
+    good_result = tmp_path / "good.json"
+    assert _run(["segment", matrix_path, "--out", good_result]) == 0
+    good = json.loads(good_result.read_text())
+    broken = [
+        {k: v for k, v in good.items() if k != "standardizer"},
+        {k: v for k, v in good.items() if k != "gamma"},
+        {**good, "gamma": [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]},
+        {**good, "standardizer": {"a": 1}},
+    ]
+    for index, doc in enumerate(broken):
+        path = tmp_path / f"broken{index}.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert _run(["correlogram", matrix_path, "--out", out, "--m", 2, "--gamma", path]) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "InvalidInput"
+
+
+def test_correlogram_rows_are_lag_scores_entries(tmp_path):
+    rng = np.random.default_rng((930, 0))
+    data = rng.standard_normal((80, 3, 4))
+    data[1:] += 0.5 * data[:-1]
+    series_path = tmp_path / "s.txt"
+    mio.write_series(series_path, MatrixSeries(data))
+    result_path = tmp_path / "s.json"
+    assert _run(["segment", series_path, "--out", result_path]) == 0
+    doc = mio.read_result(result_path)
+    transformed = MatrixSeries(data @ np.asarray(doc["standardizer"]) @ np.asarray(doc["gamma"]))
+    m = 3
+    cases = [
+        (MatrixSeries(data), ["--threshold", "none"], None),
+        (MatrixSeries(data), ["--threshold", "fixed:0.1,0.05"], [0.05] * (m + 1)),
+        (transformed, ["--threshold", "cv:3", "--seed", 4, "--gamma", result_path], "cv"),
+    ]
+    for series, flags, v_per_lag in cases:
+        if v_per_lag == "cv":
+            v_per_lag = threshold_levels(CvThreshold(n_splits=3, seed=4), series, 1, range(m + 1))
+        out = tmp_path / "c.csv"
+        assert _run(["correlogram", series_path, "--out", out, "--m", m] + flags) == 0
+        scores = lag_scores(series, np.eye(4), m, v_per_lag)
+        want = [
+            (i + 1, j + 1, h, float(scores[h, i, j]))
+            for i in range(4)
+            for j in range(i, 4)
+            for h in range(m + 1)
+        ]
+        assert mio.read_correlogram_csv(out) == want
 
 
 def test_replicate_report_layout_and_determinism(tmp_path):
@@ -267,12 +321,12 @@ def test_degenerate_data_exits_4(tmp_path, capsys):
 
 def test_thread_resolution(monkeypatch, tmp_path):
     monkeypatch.delenv("MATSEG_THREADS", raising=False)
-    assert _resolve_threads(3) == 3
-    assert _resolve_threads(None) >= 1
+    assert _thread_count(3) == 3
+    assert _thread_count(None) >= 1
 
     monkeypatch.setenv("MATSEG_THREADS", "2")
-    assert _resolve_threads(None) == 2
-    assert _resolve_threads(5) == 5
+    assert _thread_count(None) == 2
+    assert _thread_count(5) == 5
 
     monkeypatch.setenv("MATSEG_THREADS", "many")
     out = tmp_path / "r.csv"

@@ -1,5 +1,7 @@
 """Tests for the autocovariance estimators and the thresholded W statistic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,25 @@ def test_row_autocov_matches_brute_force():
             want = brute_row_autocov(series.data, k)
             assert got.shape == (q, q)
             assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_row_autocov_strided_view_matches_contiguous_copy_in_one_buffer():
+    rng = np.random.default_rng(12)
+    raw = rng.standard_normal((300, 10, 48))
+    view = MatrixSeries(np.swapaxes(raw, 1, 2))
+    assert not view.data.flags.c_contiguous
+    copy = MatrixSeries(np.ascontiguousarray(view.data))
+    strided = MatrixSeries(raw[::2, :, ::3])
+    strided_copy = MatrixSeries(np.ascontiguousarray(strided.data))
+    for k in (0, 1, 2, 7):
+        assert row_autocov(view, k).tobytes() == row_autocov(copy, k).tobytes()
+        assert row_autocov(strided, k).tobytes() == row_autocov(strided_copy, k).tobytes()
+    # the centred data is the only data-sized array formed
+    tracemalloc.start()
+    row_autocov(view, 0)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 2 * view.data.nbytes
 
 
 def test_row_autocov_lag_bounds():

@@ -197,6 +197,11 @@ def test_read_truth_parse_errors(tmp_path):
         io.read_truth(_write(path, "matseg,truth,1\n2,1\ngroup,1,2\na,1.0,0.0\na,0.0,1.0\n"))
     assert exc.value.line == 2
 
+    # header line only
+    with pytest.raises(ParseError) as exc:
+        io.read_truth(_write(path, "matseg,truth,1\n"))
+    assert exc.value.line == 2
+
     with pytest.raises(ParseError) as exc:
         io.read_truth(
             _write(path, "matseg,truth,1\n2,1,1\nblob,1,2\na,1.0,0.0\na,0.0,1.0\n")

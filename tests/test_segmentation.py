@@ -24,9 +24,17 @@ from matseg import (
     segment,
     standardize,
 )
-from matseg.cli import _correlogram_rows
+from matseg import segmentation
 from matseg.estimators import pair_autocov_all
-from matseg.segmentation import _component_scales, _thresholded_pair_tensor
+from matseg.segmentation import (
+    CvThreshold,
+    _component_scales,
+    _cv_plan,
+    _thresholded_pair_tensor,
+    lag_scores,
+    threshold_levels,
+)
+from matseg.threshold_cv import cv_threshold_autocov, cv_threshold_pair
 from oracles import brute_pair_scores, brute_univariate_corr, dfs_components
 
 
@@ -79,7 +87,7 @@ def test_standardize_zero_variance_column():
 def test_standardize_threshold_keeps_diagonal():
     rng = np.random.default_rng(31)
     series = _random_series(rng, 50, 2, 3)
-    out, standardizer = standardize(series, threshold=FixedThreshold(u=1e9, v=1e9))
+    out, standardizer = standardize(series, u0=1e9)
     cov = row_autocov(series, 0)
     expected = np.diag(1.0 / np.sqrt(np.diag(cov)))
     assert np.max(np.abs(standardizer - expected)) <= 1e-10
@@ -231,20 +239,80 @@ def test_scoring_centres_once_bit_identical_to_per_lag_construction():
                 sub = None if v_per_lag is None else v_per_lag[: h + 1]
                 assert np.array_equal(pair_score_matrix(std, gamma, h, sub), best)
 
-        # the correlogram scores the columns of the raw data, rows as components
+        # the correlogram is lag_scores on the series itself: gamma = I, and
+        # at every lag each score is a symmetrised peak of the per-lag tensor
+        eye = np.eye(4)
+        scores = lag_scores(std, eye, m, v_per_lag)
+        scale = _component_scales(tensors[0], eye)
+        denom = np.einsum("ki,lj->klij", scale, scale)
+        for h in range(m + 1):
+            corr = np.abs(tensors[h] / denom).max(axis=(0, 1))
+            assert np.array_equal(scores[h], np.maximum(corr, corr.T))
+
+        # the rows-as-components construction on the transposed data agrees
+        # to rounding: its lag-0 product is formed in the other orientation
         transposed = MatrixSeries(np.swapaxes(data, 1, 2))
         tensors = _per_lag_tensors(transposed, m, v_per_lag)
         scale = np.sqrt(tensors[0][np.arange(4), np.arange(4)][:, np.arange(3), np.arange(3)])
-        want_rows = []
         for h in range(m + 1):
             peak = np.abs(tensors[h] / np.einsum("ia,jb->ijab", scale, scale)).max(axis=(2, 3))
-            want_rows += [
-                (i + 1, j + 1, h, float(max(peak[i, j], peak[j, i])))
-                for i in range(4)
-                for j in range(i, 4)
-            ]
-        want_rows.sort(key=lambda r: (r[0], r[1], r[2]))
-        assert _correlogram_rows(data, m, v_per_lag) == want_rows
+            assert np.max(np.abs(np.maximum(peak, peak.T) - scores[h])) <= 1e-12
+
+
+def test_pair_score_matrix_is_max_over_lags_of_lag_scores():
+    rng = np.random.default_rng(48)
+    for _ in range(20):
+        n = int(rng.integers(8, 40))
+        p = int(rng.integers(1, 4))
+        q = int(rng.integers(2, 6))
+        std, _ = standardize(_random_series(rng, n, p, q))
+        gamma = estimate_gamma(std, SegmentationConfig())
+        m = int(rng.integers(0, min(6, n - 1)))
+        for v_per_lag in (None, [float(rng.uniform(0.0, 0.2))] * (m + 1)):
+            per_lag = lag_scores(std, gamma, m, v_per_lag)
+            assert per_lag.shape == (m + 1, q, q)
+            assert np.array_equal(per_lag, per_lag.transpose(0, 2, 1))
+            assert np.array_equal(per_lag.max(axis=0), pair_score_matrix(std, gamma, m, v_per_lag))
+
+
+def test_threshold_levels_per_mode_and_kind():
+    rng = np.random.default_rng(49)
+    series = _random_series(rng, 40, 2, 3)
+    lags = [0, 2, 5]
+    assert threshold_levels(NoThreshold(), series, 0, lags) is None
+    assert threshold_levels(NoThreshold(), series, 1, lags) is None
+    fixed = FixedThreshold(u=0.3, v=0.1)
+    assert threshold_levels(fixed, series, 0, lags) == [0.3, 0.3, 0.3]
+    assert threshold_levels(fixed, series, 1, range(4)) == [0.1] * 4
+    assert threshold_levels(fixed, series, 0, []) == []
+    mode = CvThreshold(n_splits=3, grid_size=8, seed=11)
+    autocov = [cv_threshold_autocov(series, k, _cv_plan(mode, 0, k)) for k in lags]
+    pair = [cv_threshold_pair(series, h, _cv_plan(mode, 1, h)) for h in lags]
+    assert threshold_levels(mode, series, 0, lags) == autocov
+    assert threshold_levels(mode, series, 1, lags) == pair
+    # the kind and the lag both enter the split seed
+    assert _cv_plan(mode, 0, 2).seed != _cv_plan(mode, 1, 2).seed
+    assert _cv_plan(mode, 0, 2).seed != _cv_plan(mode, 0, 5).seed
+    with pytest.raises(InvalidInput):
+        threshold_levels(fixed, series, 2, lags)
+
+
+def test_segment_cross_validates_lag0_level_once(monkeypatch):
+    calls = []
+
+    def counting(series, k, plan):
+        calls.append(k)
+        return cv_threshold_autocov(series, k, plan)
+
+    monkeypatch.setattr(segmentation, "cv_threshold_autocov", counting)
+    rng = np.random.default_rng(50)
+    cfg = SegmentationConfig(k0=3, m=2, threshold=CvThreshold(n_splits=3, grid_size=8))
+    res = segment(_random_series(rng, 40, 2, 3), cfg)
+    assert calls == [0, 1, 2, 3]
+    assert len(res.u_per_lag) == 3 and len(res.v_per_lag) == 3
+    calls.clear()
+    segment(_random_series(rng, 40, 2, 1), cfg)
+    assert calls == []
 
 
 def test_pair_score_matrix_v_per_lag_length():
