@@ -35,15 +35,30 @@ def row_autocov(series: MatrixSeries, k: int) -> np.ndarray:
     -------
     ndarray, shape (q, q)
     """
-    n, p, q = series.n, series.p, series.q
+    n, p = series.n, series.p
     k = _check_lag(k, n, "k")
-    data = series.data
-    # one C-ordered buffer, so the reshapes below are views even when the
-    # series is a strided view (as every tensor mode is)
-    centered = np.subtract(data, data.mean(axis=0), out=np.empty(data.shape))
+    return _row_lag_product(_center(series.data), k) / (n * p)
+
+
+def _center(data: np.ndarray) -> np.ndarray:
+    """data minus its full-sample mean, in a fresh C-ordered buffer.
+
+    The buffer is C-ordered even when data is a strided view (as every
+    tensor mode is), so the reshapes in _row_lag_product are views.
+    """
+    return np.subtract(data, data.mean(axis=0), out=np.empty(data.shape))
+
+
+def _row_lag_product(centered: np.ndarray, k: int) -> np.ndarray:
+    """Sum over t of centered[t + k]' centered[t]: row_autocov at lag k times n p.
+
+    The row-averaged twin of _pair_lag_products for data already centred
+    by _center; passes over several lags centre once.  k is not checked.
+    """
+    n, p, q = centered.shape
     lead = centered[k:].reshape((n - k) * p, q)
     base = centered[: n - k].reshape((n - k) * p, q)
-    return (lead.T @ base) / (n * p)
+    return lead.T @ base
 
 
 def pair_autocov(series: MatrixSeries, i: int, j: int, h: int) -> np.ndarray:
@@ -157,14 +172,15 @@ def w_stat(series: MatrixSeries, k0: int, u_per_lag=None) -> np.ndarray:
     ndarray, shape (q, q)
         Symmetric matrix with every eigenvalue >= 1.
     """
-    n, q = series.n, series.q
+    n, p, q = series.n, series.p, series.q
     if not 1 <= k0 <= n - 2:
         raise InvalidInput(f"k0 must satisfy 1 <= k0 <= n - 2, got {k0} with n = {n}")
     if u_per_lag is not None and len(u_per_lag) != k0:
         raise InvalidInput(f"u_per_lag must have length {k0}, got {len(u_per_lag)}")
+    centered = _center(series.data)
     acc = np.eye(q)
     for k in range(1, k0 + 1):
-        cov = row_autocov(series, k)
+        cov = _row_lag_product(centered, k) / (n * p)
         if u_per_lag is not None:
             cov = hard_threshold(cov, u_per_lag[k - 1])
         acc += cov @ cov.T

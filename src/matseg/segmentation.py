@@ -64,8 +64,9 @@ class SegmentationConfig:
     k0 is the number of lags accumulated in the eigen-analysis statistic, m
     the largest lag used when scoring pairs of transformed columns, c0 the
     fraction of the score list searched by the ratio rule, and ratio_shift
-    an optional additive stabilizer that widens the search to the whole
-    list.  eps is the relative eigenvalue floor of the standardizer.
+    an optional finite, positive additive stabilizer that widens the
+    search to the whole list.  eps is the relative eigenvalue floor of the
+    standardizer.
     """
 
     k0: int = 2
@@ -82,8 +83,8 @@ class SegmentationConfig:
             raise InvalidInput(f"m must be nonnegative, got {self.m}")
         if not 0 < self.c0 < 1:
             raise InvalidInput(f"c0 must lie in (0, 1), got {self.c0}")
-        if self.ratio_shift is not None and not self.ratio_shift > 0:
-            raise InvalidInput(f"ratio_shift must be positive, got {self.ratio_shift}")
+        if self.ratio_shift is not None and not 0 < self.ratio_shift < np.inf:
+            raise InvalidInput(f"ratio_shift must be finite and positive, got {self.ratio_shift}")
         if not 0 < self.eps < 1:
             raise InvalidInput(f"eps must lie in (0, 1), got {self.eps}")
 
@@ -230,6 +231,8 @@ def _component_scales(tensor0: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     p = tensor0.shape[0]
     diag_blocks = tensor0[np.arange(p), np.arange(p)]
     var = np.einsum("kab,ai,bi->ki", diag_blocks, gamma, gamma)
+    if not np.all(np.isfinite(var)):
+        raise InvalidInput("transformed-component variances are not finite")
     bad = np.argwhere(var <= 0)
     if bad.size:
         k, i = bad[0]
@@ -338,6 +341,8 @@ def lag_scores(
         corr = np.abs(sandwich / denom).max(axis=(0, 1))
         del sandwich
         np.maximum(corr, corr.T, out=scores[h])
+    if not np.all(np.isfinite(scores)):
+        raise InvalidInput("pair scores are not finite")
     return scores
 
 
@@ -398,7 +403,7 @@ def ratio_select(scores, c0: float = 0.75, shift: float | None = None) -> int:
     c0 : float
         Search fraction in (0, 1); ignored when shift is given.
     shift : float or None
-        Additive stabilizer, > 0.
+        Additive stabilizer, finite and > 0.
 
     Returns
     -------
@@ -425,8 +430,8 @@ def ratio_select(scores, c0: float = 0.75, shift: float | None = None) -> int:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(lag == 0.0, np.inf, lead / lag)
         return int(np.argmax(ratios)) + 1
-    if not shift > 0:
-        raise InvalidInput(f"shift must be positive, got {shift}")
+    if not 0 < shift < np.inf:
+        raise InvalidInput(f"shift must be finite and positive, got {shift}")
     lead = arr[:-1] + shift
     lag = arr[1:] + shift
     return int(np.argmax(lead / lag)) + 1

@@ -7,7 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, ResourceLimit
-from .estimators import PAIR_TENSOR_ENTRY_LIMIT, _check_lag, row_autocov
+from .estimators import (
+    PAIR_TENSOR_ENTRY_LIMIT,
+    _center,
+    _check_lag,
+    _row_lag_product,
+    row_autocov,  # noqa: F401  unused here; bench/selftest.py probes this binding
+)
 from .series import MatrixSeries
 
 MIN_CV_LENGTH = 8
@@ -111,15 +117,72 @@ def _grid_risk(first: np.ndarray, second: np.ndarray, grid: np.ndarray) -> np.nd
     The grid must be non-decreasing, as threshold_grid returns it.  Keeping
     an entry a instead of zeroing it changes its squared error from b**2 to
     (a - b)**2, so risk(u) = sum(b**2) + sum over |a| >= u of a * (a - 2b).
-    Binning |a| by the number of levels it reaches and taking a reverse
-    cumulative sum of the per-bin terms gives every level in one pass.
-    Equal levels bound an empty bin, which adds exactly 0.0, so they tie.
+    Each |a| is binned by the number of levels it reaches, counted exactly
+    from a table of |a| >= level comparisons in the smallest unsigned type
+    that holds grid.size; the table is built over blocks of 2**22 //
+    grid.size entries, so it stays near 4 MiB whatever the sizes.  A
+    reverse cumulative sum of the per-bin terms gives every level in one
+    pass.  Equal levels bound an empty bin, which adds exactly 0.0, so
+    they tie.
     """
     a = first.ravel()
     b = second.ravel()
-    bins = np.searchsorted(grid, np.abs(a), side="right")
+    mags = np.abs(a)
+    bins = np.empty(a.size, dtype=np.min_scalar_type(grid.size))
+    step = max(1, 2**22 // grid.size)
+    for start in range(0, a.size, step):
+        block = slice(start, start + step)
+        (mags[block] >= grid[:, None]).sum(axis=0, dtype=bins.dtype, out=bins[block])
     gains = np.bincount(bins, weights=a * (a - 2.0 * b), minlength=grid.size + 1)
     return b @ b + np.cumsum(gains[::-1])[::-1][1:]
+
+
+def _part_row_autocov(product, lead_sum, base_sum, count, mean_sum, size, p):
+    """split_row_autocov from sums over a part's valid terms of full-mean-centred data.
+
+    product, lead_sum and base_sum are the sums of c_{t+k}' c_t, c_{t+k}
+    and c_t over the part's count valid t, and mean_sum the sum of c_t
+    over all size of its t.  With d = mean_sum / size the part's mean of c,
+    sum (c_{t+k} - d)' (c_t - d) expands to
+    product - lead_sum' d - d' base_sum + count d' d.
+    """
+    d = mean_sum / size
+    return (product - lead_sum.T @ d - d.T @ base_sum + count * (d.T @ d)) / (size * p)
+
+
+def _split_row_autocovs(centered: np.ndarray, k: int, total: np.ndarray, splits):
+    """Yield split_row_autocov of the first and of the second part of each split.
+
+    centered is the series centred by _center and total its
+    _row_lag_product at lag k.  The product and sums behind each estimate
+    are additive over time points and the two parts of a split partition
+    them, so only the second part's (small) sums are gathered; the first
+    part's are the full-sample sums minus them.
+    """
+    n, p, q = centered.shape
+    lead_total = centered[k:].sum(axis=0)
+    base_total = centered[: n - k].sum(axis=0)
+    mean_total = centered.sum(axis=0)
+    for first, second in splits:
+        valid = second[second + k <= n - 1]
+        lead = centered[valid + k]
+        base = centered[valid]
+        product = lead.reshape(valid.size * p, q).T @ base.reshape(valid.size * p, q)
+        lead_sum = lead.sum(axis=0)
+        base_sum = base.sum(axis=0)
+        mean_sum = centered[second].sum(axis=0)
+        yield (
+            _part_row_autocov(
+                total - product,
+                lead_total - lead_sum,
+                base_total - base_sum,
+                n - k - valid.size,
+                mean_total - mean_sum,
+                first.size,
+                p,
+            ),
+            _part_row_autocov(product, lead_sum, base_sum, valid.size, mean_sum, second.size, p),
+        )
 
 
 def cv_threshold_autocov(series: MatrixSeries, k: int, plan: CvPlan) -> float:
@@ -129,6 +192,11 @@ def cv_threshold_autocov(series: MatrixSeries, k: int, plan: CvPlan) -> float:
     thresholded first-part estimate and the raw second-part estimate over a
     grid of candidate levels drawn from the full-sample estimate.  Ties
     resolve to the smallest candidate.
+
+    Each part's estimate is split_row_autocov (centred by the part's own
+    mean), formed from the series centred once by its full-sample mean:
+    per split only the second part's terms are gathered, and the first
+    part's sums are their complement in the full-sample sums.
 
     Parameters
     ----------
@@ -144,14 +212,13 @@ def cv_threshold_autocov(series: MatrixSeries, k: int, plan: CvPlan) -> float:
     float
         Selected threshold, >= 0.
     """
-    n = series.n
+    n, p = series.n, series.p
     k = _check_lag(k, n, "k")
-    full = row_autocov(series, k)
-    grid = threshold_grid(full, plan.grid_size)
+    centered = _center(series.data)
+    total = _row_lag_product(centered, k)
+    grid = threshold_grid(total / (n * p), plan.grid_size)
     risks = np.zeros(grid.size)
-    for first, second in split_indices(plan, n):
-        a = split_row_autocov(series, first, k)
-        b = split_row_autocov(series, second, k)
+    for a, b in _split_row_autocovs(centered, k, total, split_indices(plan, n)):
         risks += _grid_risk(a, b, grid)
     risks /= plan.n_splits
     return float(grid[int(np.argmin(risks))])

@@ -215,6 +215,16 @@ def test_correlogram_input_validation(tmp_path, capsys):
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "InvalidInput"
 
+    # sums of squares that overflow leave no finite correlation to write
+    huge_path = tmp_path / "huge.txt"
+    mio.write_series(huge_path, MatrixSeries(rng.standard_normal((200, 3, 4)) * 1e200))
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _run(["correlogram", huge_path, "--out", out]) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "InvalidInput"
+    assert not out.exists()
+
 
 def test_correlogram_rows_are_lag_scores_entries(tmp_path):
     rng = np.random.default_rng((930, 0))
@@ -309,6 +319,15 @@ def test_data_errors_exit_3_with_error_record(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ParseError"
     assert record["line"] == 4
+
+    series_path = tmp_path / "s.txt"
+    data = np.random.default_rng(5).standard_normal((40, 2, 3))
+    mio.write_series(series_path, MatrixSeries(data))
+    result_path = tmp_path / "s.json"
+    assert _run(["segment", series_path, "--out", result_path, "--ratio-shift", "inf"]) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "InvalidInput"
+    assert not result_path.exists()
 
 
 def test_degenerate_data_exits_4(tmp_path, capsys):

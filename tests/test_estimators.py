@@ -204,6 +204,24 @@ def test_w_stat_matches_brute_force():
             assert np.max(np.abs(got - got.T)) <= 1e-14
 
 
+def test_w_stat_centres_once_bit_identical_to_per_lag_row_autocov():
+    rng = np.random.default_rng(20)
+    raw = rng.standard_normal((60, 4, 3)) + 5.0
+    view = MatrixSeries(np.swapaxes(raw, 1, 2))
+    assert not view.data.flags.c_contiguous
+    k0 = 4
+    for series in (MatrixSeries(raw), view):
+        for levels in (None, [0.05, 0.0, 0.2, 0.1]):
+            want = np.eye(series.q)
+            for k in range(1, k0 + 1):
+                cov = row_autocov(series, k)
+                if levels is not None:
+                    cov = hard_threshold(cov, levels[k - 1])
+                want += cov @ cov.T
+            want = 0.5 * (want + want.T)
+            assert np.array_equal(w_stat(series, k0, levels), want)
+
+
 def test_w_stat_zero_thresholds_match_none():
     rng = np.random.default_rng(17)
     series = _random_series(rng, 9, 2, 3)

@@ -275,6 +275,26 @@ def test_pair_score_matrix_is_max_over_lags_of_lag_scores():
             assert np.array_equal(per_lag.max(axis=0), pair_score_matrix(std, gamma, m, v_per_lag))
 
 
+def test_lag_scores_rejects_non_finite_variances_and_scores(monkeypatch):
+    rng = np.random.default_rng(50)
+    # the lag-0 sums of squares overflow, so the component variances are not finite
+    huge = MatrixSeries(rng.standard_normal((200, 3, 4)) * 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidInput, match="variances"):
+            lag_scores(huge, np.eye(4), 2)
+    series = _random_series(rng, 40, 2, 3)
+    assert np.all(np.isfinite(lag_scores(series, np.eye(3), 2)))
+    products = segmentation._pair_lag_products
+
+    def overflow_at_lag_2(centered, h):
+        out = products(centered, h)
+        return out * np.inf if h == 2 else out
+
+    monkeypatch.setattr(segmentation, "_pair_lag_products", overflow_at_lag_2)
+    with np.errstate(invalid="ignore"), pytest.raises(InvalidInput, match="scores"):
+        lag_scores(series, np.eye(3), 2)
+
+
 def test_threshold_levels_per_mode_and_kind():
     rng = np.random.default_rng(49)
     series = _random_series(rng, 40, 2, 3)
@@ -372,6 +392,10 @@ def test_ratio_select_errors():
     # c0 * q0 <= 1 leaves no admissible index
     with pytest.raises(InvalidInput):
         ratio_select([0.5, 0.4], c0=0.4)
+    # inf / inf would leave every ratio undefined
+    for shift in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(InvalidInput):
+            ratio_select([0.5, 0.4, 0.1], shift=shift)
 
 
 def _plain_ratio_oracle(scores, c0):
@@ -534,5 +558,8 @@ def test_config_validation():
         SegmentationConfig(c0=1.0)
     with pytest.raises(InvalidInput):
         SegmentationConfig(m=-1)
+    for shift in (0.0, np.inf, np.nan):
+        with pytest.raises(InvalidInput):
+            SegmentationConfig(ratio_shift=shift)
     with pytest.raises(InvalidInput):
         FixedThreshold(u=-0.5, v=0.1)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from matseg import InvalidInput, MatrixSeries, ResourceLimit, hard_threshold, row_autocov
+from matseg.estimators import _center, _row_lag_product
 from matseg.threshold_cv import (
     MIN_CV_LENGTH,
     CvPlan,
     _grid_risk,
+    _split_row_autocovs,
     cv_threshold_autocov,
     cv_threshold_pair,
     split_indices,
@@ -154,6 +156,61 @@ def test_grid_risk_matches_per_level_loop():
         # equal levels give equal risks, exactly
         same = np.diff(grid) == 0
         assert np.array_equal(got[1:][same], got[:-1][same])
+
+
+def _searchsorted_risk(first, second, grid):
+    # the binary-search binning that the level table replaced
+    a = first.ravel()
+    b = second.ravel()
+    bins = np.searchsorted(grid, np.abs(a), side="right")
+    gains = np.bincount(bins, weights=a * (a - 2.0 * b), minlength=grid.size + 1)
+    return b @ b + np.cumsum(gains[::-1])[::-1][1:]
+
+
+def test_grid_risk_matches_searchsorted_bins_exactly():
+    rng = np.random.default_rng(62)
+    # 140000 entries span two blocks at 32 levels; 30000 span three at 300,
+    # where the counts (up to 300) need a 16-bit accumulator
+    for grid_size, size in [(3, 1), (8, 50), (32, 1000), (32, 140000), (300, 30000), (300, 7)]:
+        first = rng.standard_normal(size) * rng.choice([1e-3, 1.0, 1e3])
+        second = rng.standard_normal(size)
+        first[rng.random(size) < 0.2] = 0.0
+        grid = threshold_grid(first, grid_size)
+        # duplicated levels, and levels equal to some |a|
+        grid[1 : grid_size // 2] = grid[grid_size // 2]
+        grid[-2] = np.abs(first[0])
+        grid = np.sort(grid)
+        ties = min(3, size)
+        first[-ties:] = -grid[-ties:]
+        got = _grid_risk(first, second, grid)
+        assert np.array_equal(got, _searchsorted_risk(first, second, grid))
+    # every entry above every level: all 300 counts in one bin
+    first = rng.uniform(2.0, 3.0, 600)
+    second = rng.standard_normal(600)
+    grid = np.linspace(0.0, 1.0, 300)
+    assert np.array_equal(_grid_risk(first, second, grid), _searchsorted_risk(first, second, grid))
+
+
+def test_split_row_autocovs_match_split_row_autocov():
+    rng = np.random.default_rng(63)
+    n = 20
+    plan = CvPlan(n_splits=8, grid_size=6, seed=4)
+    splits = split_indices(plan, n)
+    # at lag n - 2 only t = 0, 1 are valid and at lag n - 1 only t = 0: some
+    # split leaves the second part without a valid term, and some the first
+    assert any(second[0] > 1 for _, second in splits)
+    assert any(second[0] == 0 for _, second in splits)
+    for offset, bound in [(0.0, 1e-12), (1e6, 1e-8)]:
+        series = MatrixSeries(rng.standard_normal((n, 2, 3)) + offset)
+        scale = np.abs(row_autocov(series, 0)).max()
+        centered = _center(series.data)
+        for k in (0, 1, n - 2, n - 1):
+            total = _row_lag_product(centered, k)
+            got = list(_split_row_autocovs(centered, k, total, splits))
+            assert len(got) == len(splits)
+            for (a, b), (first, second) in zip(got, splits):
+                assert np.max(np.abs(a - split_row_autocov(series, first, k))) <= bound * scale
+                assert np.max(np.abs(b - split_row_autocov(series, second, k))) <= bound * scale
 
 
 def test_cv_threshold_autocov_zero_series_returns_zero():
