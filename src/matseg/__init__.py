@@ -1,4 +1,11 @@
-"""Segmentation of matrix- and tensor-valued time series into uncorrelated column groups."""
+"""Segmentation of matrix- and tensor-valued time series into uncorrelated column groups.
+
+The package exports the pipeline, its configuration and result, the two
+series containers and the error types.  Pipeline stages and estimators are
+imported from their submodules (``matseg.segmentation``,
+``matseg.estimators``, ``matseg.threshold_cv``, ``matseg.linalg``,
+``matseg.simulation``, ``matseg.tensor``).
+"""
 
 from .errors import (
     DegenerateColumn,
@@ -11,57 +18,33 @@ from .errors import (
     ParseError,
     ResourceLimit,
 )
-from .estimators import (
-    hard_threshold,
-    pair_autocov,
-    pair_autocov_all,
-    row_autocov,
-    w_stat,
-    w_stat_rowpair,
-)
-from .linalg import inv_sqrt_psd, subspace_distance, sym_eig
 from .segmentation import (
     CvThreshold,
     FixedThreshold,
     NoThreshold,
     SegmentationConfig,
     SegmentationResult,
-    cross_corr,
-    estimate_gamma,
-    group_columns,
-    max_cross_corr,
     pair_score_matrix,
-    ratio_select,
     segment,
-    standardize,
 )
 from .series import MatrixSeries, TensorSeries
-from .simulation import (
-    ExperimentReport,
-    ExperimentRow,
-    GroundTruth,
-    classify_segmentation,
-    gen_example,
-    gen_factor_varma,
-    mean_subspace_error,
-    run_experiment,
-    run_replication,
-)
-from .tensor import matricize, sequential_segment, tensorize
-from .threshold_cv import (
-    CvPlan,
-    cv_threshold_autocov,
-    cv_threshold_pair,
-    split_indices,
-    split_pair_product,
-    split_row_autocov,
-    split_sizes,
-    threshold_grid,
-)
+from .simulation import gen_example
+from .tensor import sequential_segment
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "segment",
+    "SegmentationConfig",
+    "SegmentationResult",
+    "NoThreshold",
+    "FixedThreshold",
+    "CvThreshold",
+    "pair_score_matrix",
+    "sequential_segment",
+    "gen_example",
+    "MatrixSeries",
+    "TensorSeries",
     "MatsegError",
     "InvalidInput",
     "ParseError",
@@ -71,49 +54,5 @@ __all__ = [
     "DegenerateVariance",
     "InvalidState",
     "ResourceLimit",
-    "MatrixSeries",
-    "TensorSeries",
-    "sym_eig",
-    "inv_sqrt_psd",
-    "subspace_distance",
-    "row_autocov",
-    "pair_autocov",
-    "pair_autocov_all",
-    "hard_threshold",
-    "w_stat",
-    "w_stat_rowpair",
-    "NoThreshold",
-    "FixedThreshold",
-    "CvThreshold",
-    "SegmentationConfig",
-    "SegmentationResult",
-    "standardize",
-    "estimate_gamma",
-    "cross_corr",
-    "max_cross_corr",
-    "pair_score_matrix",
-    "ratio_select",
-    "group_columns",
-    "segment",
-    "CvPlan",
-    "split_sizes",
-    "split_indices",
-    "threshold_grid",
-    "split_row_autocov",
-    "split_pair_product",
-    "cv_threshold_autocov",
-    "cv_threshold_pair",
-    "matricize",
-    "tensorize",
-    "sequential_segment",
-    "GroundTruth",
-    "gen_factor_varma",
-    "gen_example",
-    "classify_segmentation",
-    "mean_subspace_error",
-    "run_replication",
-    "run_experiment",
-    "ExperimentRow",
-    "ExperimentReport",
     "__version__",
 ]

@@ -20,7 +20,7 @@ from .errors import (
     DegenerateVariance,
     InvalidInput,
 )
-from .estimators import _check_lag, _pair_lag_products, hard_threshold, row_autocov, w_stat
+from .estimators import _pair_lag_products, hard_threshold, row_autocov, w_stat
 from .linalg import inv_sqrt_psd, sym_eig
 from .series import MatrixSeries
 from .threshold_cv import CvPlan, cv_threshold_autocov, cv_threshold_pair
@@ -184,27 +184,6 @@ def standardize(
     return MatrixSeries(series.data @ standardizer), standardizer
 
 
-def estimate_gamma(standardized: MatrixSeries, cfg: SegmentationConfig) -> np.ndarray:
-    """Orthogonal transformation from the eigenvectors of the lag-covariance statistic.
-
-    Parameters
-    ----------
-    standardized : MatrixSeries
-        Output of :func:`standardize`.
-    cfg : SegmentationConfig
-        Supplies k0 and the threshold mode; under cross-validation the
-        per-lag levels are chosen on this series.
-
-    Returns
-    -------
-    ndarray, shape (q, q)
-        Orthonormal eigenvector columns, eigenvalues descending.
-    """
-    u_per_lag = threshold_levels(cfg.threshold, standardized, 0, range(1, cfg.k0 + 1))
-    _, vectors = sym_eig(w_stat(standardized, cfg.k0, u_per_lag))
-    return vectors
-
-
 def _thresholded_pair_tensor(tensor: np.ndarray, v: float | None, lag: int) -> np.ndarray:
     """Entrywise threshold of an (p, p, q, q) row-pair tensor.
 
@@ -238,58 +217,6 @@ def _component_scales(tensor0: np.ndarray, gamma: np.ndarray) -> np.ndarray:
         k, i = bad[0]
         raise DegenerateVariance(int(i) + 1, int(k) + 1)
     return np.sqrt(var)
-
-
-def cross_corr(
-    standardized: MatrixSeries,
-    gamma: np.ndarray,
-    i: int,
-    j: int,
-    h: int,
-    v: float | None = None,
-) -> np.ndarray:
-    """Cross-correlations between components of transformed columns i and j at lag h.
-
-    Entry (k, l) is the sample correlation between component k of column i
-    at time t + h and component l of column j at time t.  When a threshold
-    v is given it is applied both to the lag-h covariances in the numerator
-    and to the lag-0 covariances behind the denominators (diagonals kept).
-
-    Parameters
-    ----------
-    standardized : MatrixSeries
-        Output of :func:`standardize`.
-    gamma : ndarray, shape (q, q)
-        Orthogonal transformation.
-    i, j : int
-        Transformed column indices, 1-based.
-    h : int
-        Lag, 0 <= h <= n - 2.
-    v : float or None
-        Hard-threshold level for the row-pair covariances.
-
-    Returns
-    -------
-    ndarray, shape (p, p)
-    """
-    q = standardized.q
-    if not (1 <= i <= q and 1 <= j <= q):
-        raise InvalidInput(f"column indices must lie in 1..{q}, got ({i}, {j})")
-    gam = np.asarray(gamma, dtype=float)
-    if gam.shape != (q, q):
-        raise InvalidInput(f"gamma must have shape ({q}, {q}), got {gam.shape}")
-    centered = standardized.data - standardized.data.mean(axis=0)
-    tensor0 = _thresholded_pair_tensor(_pair_lag_products(centered, 0), v, 0)
-    scales = _component_scales(tensor0, gam)
-    if h == 0:
-        tensor = tensor0
-    else:
-        h = _check_lag(h, standardized.n, "h")
-        tensor = _thresholded_pair_tensor(_pair_lag_products(centered, h), v, h)
-    vi = gam[:, i - 1]
-    vj = gam[:, j - 1]
-    numer = np.einsum("klab,a,b->kl", tensor, vi, vj)
-    return numer / np.outer(scales[:, i - 1], scales[:, j - 1])
 
 
 def lag_scores(
@@ -365,26 +292,6 @@ def pair_score_matrix(
         not used by the segmentation.
     """
     return lag_scores(standardized, gamma, m, v_per_lag).max(axis=0)
-
-
-def max_cross_corr(
-    standardized: MatrixSeries,
-    gamma: np.ndarray,
-    i: int,
-    j: int,
-    cfg: SegmentationConfig,
-) -> float:
-    """Score of the transformed column pair (i, j), i < j.
-
-    The maximum runs over lags -m..m of the largest absolute entry of the
-    component cross-correlation matrices; thresholds follow cfg.
-    """
-    q = standardized.q
-    if not (1 <= i < j <= q):
-        raise InvalidInput(f"need 1 <= i < j <= {q}, got ({i}, {j})")
-    v_per_lag = threshold_levels(cfg.threshold, standardized, 1, range(cfg.m + 1))
-    matrix = pair_score_matrix(standardized, gamma, cfg.m, v_per_lag)
-    return float(matrix[i - 1, j - 1])
 
 
 def ratio_select(scores, c0: float = 0.75, shift: float | None = None) -> int:

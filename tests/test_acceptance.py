@@ -21,11 +21,10 @@ from matseg.estimators import (
     w_stat,
     w_stat_rowpair,
 )
-from matseg.linalg import subspace_distance
+from matseg.linalg import subspace_distance, sym_eig
 from matseg.segmentation import (
     CvThreshold,
     SegmentationConfig,
-    estimate_gamma,
     group_columns,
     ratio_select,
     segment,
@@ -197,7 +196,7 @@ def test_criterion_6_invariant_suites(acceptance_report):
         q = int(rng.integers(2, 6))
         series = MatrixSeries(rng.standard_normal((n, p, q)))
         standardized, _ = standardize(series)
-        gamma = estimate_gamma(standardized, SegmentationConfig())
+        _, gamma = sym_eig(w_stat(standardized, SegmentationConfig().k0))
         gamma_dev = max(gamma_dev, float(np.abs(gamma.T @ gamma - np.eye(q)).max()))
 
     idempotent = True

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -219,8 +220,7 @@ def test_correlogram_input_validation(tmp_path, capsys):
     huge_path = tmp_path / "huge.txt"
     mio.write_series(huge_path, MatrixSeries(rng.standard_normal((200, 3, 4)) * 1e200))
     capsys.readouterr()
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert _run(["correlogram", huge_path, "--out", out]) == 3
+    assert _run(["correlogram", huge_path, "--out", out]) == 3
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "InvalidInput"
     assert not out.exists()
@@ -324,10 +324,37 @@ def test_data_errors_exit_3_with_error_record(tmp_path, capsys):
     data = np.random.default_rng(5).standard_normal((40, 2, 3))
     mio.write_series(series_path, MatrixSeries(data))
     result_path = tmp_path / "s.json"
-    assert _run(["segment", series_path, "--out", result_path, "--ratio-shift", "inf"]) == 3
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "InvalidInput"
-    assert not result_path.exists()
+    invalid_values = [
+        ["--ratio-shift", "inf"],
+        ["--threshold", "fixed:-1,0"],
+        ["--threshold", "fixed:nan,0.1"],
+        ["--threshold", "fixed:0.1,inf"],
+    ]
+    for flags in invalid_values:
+        assert _run(["segment", series_path, "--out", result_path] + flags) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "InvalidInput"
+        assert not result_path.exists()
+
+
+def test_overflow_gives_one_error_record_and_no_warning(tmp_path, capsys):
+    # sums of squares of a series scaled by 1e200 overflow in the estimators
+    huge_path = tmp_path / "huge.txt"
+    data = np.random.default_rng((920, 1)).standard_normal((200, 3, 4)) * 1e200
+    mio.write_series(huge_path, MatrixSeries(data))
+    commands = [
+        ["segment", huge_path, "--out", tmp_path / "r.json"],
+        ["segment", huge_path, "--out", tmp_path / "r.json", "--threshold", "cv:3"],
+        ["correlogram", huge_path, "--out", tmp_path / "c.csv"],
+    ]
+    for argv in commands:
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run(argv) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InvalidInput"
 
 
 def test_degenerate_data_exits_4(tmp_path, capsys):

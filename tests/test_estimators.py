@@ -5,10 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from matseg import (
-    InvalidInput,
-    MatrixSeries,
-    ResourceLimit,
+from matseg import InvalidInput, MatrixSeries, ResourceLimit
+from matseg.estimators import (
     hard_threshold,
     pair_autocov,
     pair_autocov_all,

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from matseg import (
-    DegenerateCovariance,
-    InvalidInput,
-    inv_sqrt_psd,
-    subspace_distance,
-    sym_eig,
-)
+from matseg import DegenerateCovariance, InvalidInput
+from matseg.linalg import inv_sqrt_psd, subspace_distance, sym_eig
 from oracles import brute_subspace_distance
 
 RT2 = np.sqrt(2.0)

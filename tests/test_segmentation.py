@@ -11,35 +11,36 @@ from matseg import (
     MatrixSeries,
     NoThreshold,
     SegmentationConfig,
-    classify_segmentation,
-    cross_corr,
-    estimate_gamma,
     gen_example,
-    group_columns,
-    max_cross_corr,
     pair_score_matrix,
-    ratio_select,
-    row_autocov,
-    run_experiment,
     segment,
-    standardize,
 )
 from matseg import segmentation
-from matseg.estimators import pair_autocov_all
+from matseg.estimators import pair_autocov_all, row_autocov, w_stat
+from matseg.linalg import sym_eig
 from matseg.segmentation import (
     CvThreshold,
     _component_scales,
     _cv_plan,
     _thresholded_pair_tensor,
+    group_columns,
     lag_scores,
+    ratio_select,
+    standardize,
     threshold_levels,
 )
+from matseg.simulation import classify_segmentation, run_experiment
 from matseg.threshold_cv import cv_threshold_autocov, cv_threshold_pair
 from oracles import brute_pair_scores, brute_univariate_corr, dfs_components
 
 
 def _random_series(rng, n, p, q):
     return MatrixSeries(rng.standard_normal((n, p, q)))
+
+
+def _gamma(standardized):
+    # the transformation segment takes from a standardized series, unthresholded
+    return sym_eig(w_stat(standardized, SegmentationConfig().k0))[1]
 
 
 def test_standardize_identity_covariance_is_noop():
@@ -96,13 +97,12 @@ def test_standardize_threshold_keeps_diagonal():
 
 def test_estimate_gamma_is_orthogonal():
     rng = np.random.default_rng(32)
-    cfg = SegmentationConfig()
     for _ in range(110):
         n = int(rng.integers(8, 30))
         p = int(rng.integers(1, 4))
         q = int(rng.integers(2, 6))
         std, _ = standardize(_random_series(rng, n, p, q))
-        gamma = estimate_gamma(std, cfg)
+        gamma = _gamma(std)
         assert np.max(np.abs(gamma.T @ gamma - np.eye(q))) <= 1e-8
 
 
@@ -111,7 +111,7 @@ def test_estimate_gamma_recovers_permutation_when_mixing_is_identity():
     series, truth = gen_example(1, 5000, rng)
     unmixed = MatrixSeries(series.data @ np.linalg.inv(truth.a).T)
     std, _ = standardize(unmixed)
-    gamma = estimate_gamma(std, SegmentationConfig())
+    gamma = _gamma(std)
     # every transformed column concentrates on one original column
     assert np.min(np.max(np.abs(gamma), axis=0)) > 0.95
 
@@ -119,10 +119,11 @@ def test_estimate_gamma_recovers_permutation_when_mixing_is_identity():
 def test_cross_corr_self_pair_lag0_has_unit_diagonal():
     rng = np.random.default_rng(33)
     std, _ = standardize(_random_series(rng, 25, 3, 4))
-    gamma = estimate_gamma(std, SegmentationConfig())
+    gamma = _gamma(std)
+    lag0 = lag_scores(std, gamma, 0)[0]
     for i in (1, 3):
-        out = cross_corr(std, gamma, i, i, 0)
-        assert np.max(np.abs(np.diag(out) - 1.0)) <= 1e-10
+        # a component correlates with itself at lag 0 exactly
+        assert abs(lag0[i - 1, i - 1] - 1.0) <= 1e-10
 
 
 def test_cross_corr_p1_matches_univariate_correlation():
@@ -131,13 +132,16 @@ def test_cross_corr_p1_matches_univariate_correlation():
         n = int(rng.integers(10, 30))
         q = int(rng.integers(2, 5))
         std, _ = standardize(_random_series(rng, n, 1, q))
-        gamma = estimate_gamma(std, SegmentationConfig())
+        gamma = _gamma(std)
         z = std.data[:, 0, :] @ gamma
+        scores = lag_scores(std, gamma, 2)
         for h in range(3):
-            got = cross_corr(std, gamma, 1, 2, h)
-            want = brute_univariate_corr(z[:, 0], z[:, 1], h)
-            assert got.shape == (1, 1)
-            assert abs(got[0, 0] - want) <= 1e-12
+            # the score of a pair at lag h covers lags h and -h
+            want = max(
+                abs(brute_univariate_corr(z[:, 0], z[:, 1], h)),
+                abs(brute_univariate_corr(z[:, 1], z[:, 0], h)),
+            )
+            assert abs(scores[h, 0, 1] - want) <= 1e-12
 
 
 def test_cross_corr_entries_bounded_without_threshold():
@@ -147,46 +151,41 @@ def test_cross_corr_entries_bounded_without_threshold():
         p = int(rng.integers(1, 4))
         q = int(rng.integers(2, 5))
         std, _ = standardize(_random_series(rng, n, p, q))
-        gamma = estimate_gamma(std, SegmentationConfig())
+        gamma = _gamma(std)
         i = int(rng.integers(1, q + 1))
         j = int(rng.integers(1, q + 1))
         h = int(rng.integers(0, 3))
-        out = cross_corr(std, gamma, i, j, h)
-        assert np.max(np.abs(out)) <= 1.0 + 1e-6
+        assert lag_scores(std, gamma, h)[h, i - 1, j - 1] <= 1.0 + 1e-6
 
 
 def test_cross_corr_white_noise_entries_are_small():
     rng = np.random.default_rng((200, 0))
     std, _ = standardize(MatrixSeries(rng.standard_normal((10000, 2, 3))))
-    gamma = np.eye(3)
-    for i in range(1, 4):
-        for j in range(1, 4):
-            if i == j:
-                continue
-            for h in range(0, 6):
-                assert np.max(np.abs(cross_corr(std, gamma, i, j, h))) < 0.05
+    scores = lag_scores(std, np.eye(3), 5)
+    off_diagonal = ~np.eye(3, dtype=bool)
+    assert np.all(scores[:, off_diagonal] < 0.05)
 
 
 def test_cross_corr_huge_threshold_zeroes_lagged_numerator():
     rng = np.random.default_rng(36)
     std, _ = standardize(_random_series(rng, 40, 2, 3))
-    out = cross_corr(std, np.eye(3), 1, 2, 1, v=1e9)
-    assert np.array_equal(out, np.zeros((2, 2)))
+    scores = lag_scores(std, np.eye(3), 1, [1e9, 1e9])
+    assert np.array_equal(scores[1], np.zeros((3, 3)))
 
 
 def test_cross_corr_zero_threshold_matches_none():
     rng = np.random.default_rng(37)
     std, _ = standardize(_random_series(rng, 40, 2, 3))
-    gamma = estimate_gamma(std, SegmentationConfig())
-    a = cross_corr(std, gamma, 1, 3, 2, v=None)
-    b = cross_corr(std, gamma, 1, 3, 2, v=0.0)
+    gamma = _gamma(std)
+    a = lag_scores(std, gamma, 2, None)
+    b = lag_scores(std, gamma, 2, [0.0] * 3)
     assert np.array_equal(a, b)
 
 
 def test_cross_corr_degenerate_variance():
     series = MatrixSeries(np.zeros((10, 2, 2)))
     with pytest.raises(DegenerateVariance):
-        cross_corr(series, np.eye(2), 1, 2, 0)
+        lag_scores(series, np.eye(2), 0)
 
 
 def test_pair_score_matrix_matches_brute_force():
@@ -196,7 +195,7 @@ def test_pair_score_matrix_matches_brute_force():
         p = int(rng.integers(1, 4))
         q = int(rng.integers(2, 5))
         std, _ = standardize(_random_series(rng, n, p, q))
-        gamma = estimate_gamma(std, SegmentationConfig())
+        gamma = _gamma(std)
         m = int(rng.integers(0, 4))
         got = pair_score_matrix(std, gamma, m)
         want = brute_pair_scores(std.data, gamma, m)
@@ -232,11 +231,8 @@ def test_scoring_centres_once_bit_identical_to_per_lag_construction():
             corr = np.abs(sandwich / denom).max(axis=(0, 1))
             best = np.maximum(best, np.maximum(corr, corr.T))
             if h in (0, 1, m):
-                want = np.einsum("klab,a,b->kl", tensors[h], gamma[:, 0], gamma[:, 2])
-                want = want / np.outer(scales[:, 0], scales[:, 2])
-                v = None if v_per_lag is None else v_per_lag[h]
-                assert np.array_equal(cross_corr(std, gamma, 1, 3, h, v=v), want)
                 sub = None if v_per_lag is None else v_per_lag[: h + 1]
+                assert np.array_equal(lag_scores(std, gamma, h, sub)[h], np.maximum(corr, corr.T))
                 assert np.array_equal(pair_score_matrix(std, gamma, h, sub), best)
 
         # the correlogram is lag_scores on the series itself: gamma = I, and
@@ -266,7 +262,7 @@ def test_pair_score_matrix_is_max_over_lags_of_lag_scores():
         p = int(rng.integers(1, 4))
         q = int(rng.integers(2, 6))
         std, _ = standardize(_random_series(rng, n, p, q))
-        gamma = estimate_gamma(std, SegmentationConfig())
+        gamma = _gamma(std)
         m = int(rng.integers(0, min(6, n - 1)))
         for v_per_lag in (None, [float(rng.uniform(0.0, 0.2))] * (m + 1)):
             per_lag = lag_scores(std, gamma, m, v_per_lag)
@@ -347,27 +343,25 @@ def test_max_cross_corr_exact_copy_scores_one():
     data = rng.standard_normal((30, 2, 4))
     data[:, :, 3] = data[:, :, 0]
     series = MatrixSeries(data)
-    score = max_cross_corr(series, np.eye(4), 1, 4, SegmentationConfig())
+    score = pair_score_matrix(series, np.eye(4), SegmentationConfig().m)[0, 3]
     assert abs(score - 1.0) <= 1e-8
 
 
 def test_max_cross_corr_symmetric_in_pair_order():
     rng = np.random.default_rng(41)
     std, _ = standardize(_random_series(rng, 30, 2, 4))
-    gamma = estimate_gamma(std, SegmentationConfig())
+    gamma = _gamma(std)
     matrix = pair_score_matrix(std, gamma, 10)
     assert np.array_equal(matrix, matrix.T)
-    with pytest.raises(InvalidInput):
-        max_cross_corr(std, gamma, 3, 2, SegmentationConfig())
 
 
 def test_max_cross_corr_independent_columns_stay_small():
     rng = np.random.default_rng((300, 1))
     std, _ = standardize(MatrixSeries(rng.standard_normal((10000, 2, 4))))
-    cfg = SegmentationConfig()
+    matrix = pair_score_matrix(std, np.eye(4), SegmentationConfig().m)
     for i in range(1, 5):
         for j in range(i + 1, 5):
-            assert max_cross_corr(std, np.eye(4), i, j, cfg) < 0.06
+            assert matrix[i - 1, j - 1] < 0.06
 
 
 def test_ratio_select_hand_cases():
@@ -514,9 +508,10 @@ def test_segment_scores_recompute_bit_stably():
         cfg = SegmentationConfig(threshold=threshold)
         res = segment(series, cfg)
         std = MatrixSeries(series.data @ res.standardizer)
+        v_per_lag = threshold_levels(threshold, std, 1, range(cfg.m + 1))
+        matrix = pair_score_matrix(std, res.gamma, cfg.m, v_per_lag)
         for i, j, score in res.scores:
-            again = max_cross_corr(std, res.gamma, i, j, cfg)
-            assert again == score
+            assert matrix[i - 1, j - 1] == score
 
 
 def test_segment_recovers_known_grouping():

@@ -6,19 +6,23 @@ import numpy as np
 import pytest
 
 from matseg import (
-    GroundTruth,
     InvalidInput,
     InvalidState,
     MatrixSeries,
     SegmentationConfig,
-    classify_segmentation,
     gen_example,
+)
+from matseg.estimators import row_autocov
+from matseg.segmentation import SegmentationResult
+from matseg.simulation import (
+    _MA_BLOCK,
+    BURN_IN,
+    GroundTruth,
+    classify_segmentation,
+    gen_factor_varma,
     mean_subspace_error,
-    row_autocov,
     run_experiment,
 )
-from matseg.segmentation import SegmentationResult
-from matseg.simulation import _MA_BLOCK, BURN_IN, gen_factor_varma
 
 RT2 = np.sqrt(2.0)
 

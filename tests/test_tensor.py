@@ -8,11 +8,10 @@ from matseg import (
     MatrixSeries,
     SegmentationConfig,
     TensorSeries,
-    matricize,
     segment,
     sequential_segment,
-    tensorize,
 )
+from matseg.tensor import matricize, tensorize
 from matseg.simulation import gen_factor_varma
 from oracles import brute_matricize
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from matseg import InvalidInput, MatrixSeries, ResourceLimit, hard_threshold, row_autocov
-from matseg.estimators import _center, _row_lag_product
+from matseg import InvalidInput, MatrixSeries, ResourceLimit
+from matseg.estimators import _center, _row_lag_product, hard_threshold, row_autocov
 from matseg.threshold_cv import (
     MIN_CV_LENGTH,
     CvPlan,
