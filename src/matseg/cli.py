@@ -149,6 +149,8 @@ def _thread_count(value: int | None) -> int:
 
 def cmd_simulate(example: int, n: int, seed: int, out: str, truth_out: str | None = None) -> None:
     """Generate one simulated series and its truth sidecar."""
+    if seed < 0:
+        raise InvalidInput(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng((int(seed), int(example), int(n)))
     series, truth = gen_example(example, n, rng)
     mio.write_series(out, series)

@@ -35,30 +35,38 @@ def row_autocov(series: MatrixSeries, k: int) -> np.ndarray:
     -------
     ndarray, shape (q, q)
     """
-    n, p = series.n, series.p
+    n, p, q = series.n, series.p, series.q
     k = _check_lag(k, n, "k")
-    return _row_lag_product(_center(series.data), k) / (n * p)
+    return _lag_product(_center(series.data), k, q) / (n * p)
 
 
 def _center(data: np.ndarray) -> np.ndarray:
     """data minus its full-sample mean, in a fresh C-ordered buffer.
 
     The buffer is C-ordered even when data is a strided view (as every
-    tensor mode is), so the reshapes in _row_lag_product are views.
+    tensor mode is), so the reshapes in _lag_product are views.  Every
+    estimator centres here except the reference pair_autocov and
+    split_row_autocov.
     """
     return np.subtract(data, data.mean(axis=0), out=np.empty(data.shape))
 
 
-def _row_lag_product(centered: np.ndarray, k: int) -> np.ndarray:
-    """Sum over t of centered[t + k]' centered[t]: row_autocov at lag k times n p.
+def _lag_product(x: np.ndarray, k: int, width: int, t=None) -> np.ndarray:
+    """Sum over t of x[t + k]' x[t], each time slice flattened to rows of width entries.
 
-    The row-averaged twin of _pair_lag_products for data already centred
-    by _center; passes over several lags centre once.  k is not checked.
+    Width q gives n p times the row-averaged autocovariance of centred
+    data, width p q the (p q, p q) row-pair product.  t runs over every
+    valid time point 0..n-k-1, or over the given index array, whose points
+    with t + k past the end are skipped.  k is not checked.  This is the
+    one lag product behind the estimators and their cross-validation.
     """
-    n, p, q = centered.shape
-    lead = centered[k:].reshape((n - k) * p, q)
-    base = centered[: n - k].reshape((n - k) * p, q)
-    return lead.T @ base
+    n = x.shape[0]
+    if t is None:
+        lead, base = x[k:], x[: n - k]
+    else:
+        t = t[t + k <= n - 1]
+        lead, base = x[t + k], x[t]
+    return lead.reshape(-1, width).T @ base.reshape(-1, width)
 
 
 def pair_autocov(series: MatrixSeries, i: int, j: int, h: int) -> np.ndarray:
@@ -101,7 +109,7 @@ def pair_autocov_all(series: MatrixSeries, h: int) -> np.ndarray:
     ndarray, shape (p, p, q, q)
     """
     h = _check_lag(h, series.n, "h")
-    return _pair_lag_products(series.data - series.data.mean(axis=0), h)
+    return _pair_lag_products(_center(series.data), h)
 
 
 def _pair_lag_products(centered: np.ndarray, h: int) -> np.ndarray:
@@ -114,9 +122,7 @@ def _pair_lag_products(centered: np.ndarray, h: int) -> np.ndarray:
         raise ResourceLimit(
             f"row-pair covariance tensor would hold {p * p * q * q} entries"
         )
-    lead = centered[h:].reshape(n - h, p * q)
-    base = centered[: n - h].reshape(n - h, p * q)
-    flat = (lead.T @ base) / n
+    flat = _lag_product(centered, h, p * q) / n
     return flat.reshape(p, q, p, q).transpose(0, 2, 1, 3)
 
 
@@ -180,7 +186,7 @@ def w_stat(series: MatrixSeries, k0: int, u_per_lag=None) -> np.ndarray:
     centered = _center(series.data)
     acc = np.eye(q)
     for k in range(1, k0 + 1):
-        cov = _row_lag_product(centered, k) / (n * p)
+        cov = _lag_product(centered, k, q) / (n * p)
         if u_per_lag is not None:
             cov = hard_threshold(cov, u_per_lag[k - 1])
         acc += cov @ cov.T
@@ -213,7 +219,7 @@ def w_stat_rowpair(series: MatrixSeries, k0: int, v_per_lag=None) -> np.ndarray:
         raise InvalidInput(f"k0 must satisfy 1 <= k0 <= n - 2, got {k0} with n = {n}")
     if v_per_lag is not None and len(v_per_lag) != k0 + 1:
         raise InvalidInput(f"v_per_lag must have length {k0 + 1}, got {len(v_per_lag)}")
-    centered = series.data - series.data.mean(axis=0)
+    centered = _center(series.data)
     acc = np.zeros((q, q))
     for k in range(0, k0 + 1):
         tensor = _pair_lag_products(centered, k)

@@ -11,7 +11,7 @@ groups off the resulting graph as connected components.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,10 +20,10 @@ from .errors import (
     DegenerateVariance,
     InvalidInput,
 )
-from .estimators import _pair_lag_products, hard_threshold, row_autocov, w_stat
+from .estimators import _center, _pair_lag_products, hard_threshold, row_autocov, w_stat
 from .linalg import inv_sqrt_psd, sym_eig
 from .series import MatrixSeries
-from .threshold_cv import CvPlan, cv_threshold_autocov, cv_threshold_pair
+from .threshold_cv import CvThreshold, cv_threshold_autocov, cv_threshold_pair
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,6 @@ class FixedThreshold:
             raise InvalidInput(f"u must be finite and nonnegative, got {self.u}")
         if not (np.isfinite(self.v) and self.v >= 0):
             raise InvalidInput(f"v must be finite and nonnegative, got {self.v}")
-
-
-@dataclass(frozen=True)
-class CvThreshold:
-    """Per-lag thresholds chosen by subsample cross-validation."""
-
-    n_splits: int = 20
-    grid_size: int = 32
-    seed: int = 0
 
 
 ThresholdMode = NoThreshold | FixedThreshold | CvThreshold
@@ -114,10 +105,10 @@ class SegmentationResult:
     v_per_lag: list[float] | None = None
 
 
-def _cv_plan(mode: CvThreshold, kind: int, lag: int) -> CvPlan:
-    """Per-lag split plan with a seed derived from (seed, kind, lag)."""
+def _cv_plan(mode: CvThreshold, kind: int, lag: int) -> CvThreshold:
+    """mode with its seed replaced by one derived from (seed, kind, lag)."""
     derived = int(np.random.SeedSequence((int(mode.seed), kind, lag)).generate_state(1)[0])
-    return CvPlan(n_splits=mode.n_splits, grid_size=mode.grid_size, seed=derived)
+    return replace(mode, seed=derived)
 
 
 def threshold_levels(
@@ -244,7 +235,7 @@ def lag_scores(
     if v_per_lag is not None and len(v_per_lag) != m + 1:
         raise InvalidInput(f"v_per_lag must have length {m + 1}, got {len(v_per_lag)}")
     gam = np.asarray(gamma, dtype=float)
-    centered = standardized.data - standardized.data.mean(axis=0)
+    centered = _center(standardized.data)
     tensor0 = _thresholded_pair_tensor(
         _pair_lag_products(centered, 0), None if v_per_lag is None else v_per_lag[0], 0
     )

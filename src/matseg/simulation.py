@@ -352,7 +352,7 @@ def run_experiment(
         Replications per length, >= 1.
     cfg : SegmentationConfig, optional
     seed : int
-        Root seed; replication streams derive from (seed, example, n, rep).
+        Root seed, >= 0; replication streams derive from (seed, example, n, rep).
     threads : int
         Worker processes; results are identical for any value.
 
@@ -364,6 +364,8 @@ def run_experiment(
         cfg = SegmentationConfig()
     if reps < 1:
         raise InvalidInput(f"reps must be at least 1, got {reps}")
+    if seed < 0:
+        raise InvalidInput(f"seed must be nonnegative, got {seed}")
     n_values = [int(n) for n in n_values]
     if not n_values:
         raise InvalidInput("n_values must not be empty")

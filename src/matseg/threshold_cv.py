@@ -11,7 +11,7 @@ from .estimators import (
     PAIR_TENSOR_ENTRY_LIMIT,
     _center,
     _check_lag,
-    _row_lag_product,
+    _lag_product,
     row_autocov,  # noqa: F401  unused here; bench/selftest.py probes this binding
 )
 from .series import MatrixSeries
@@ -20,12 +20,14 @@ MIN_CV_LENGTH = 8
 
 
 @dataclass(frozen=True)
-class CvPlan:
-    """Split scheme for threshold cross-validation.
+class CvThreshold:
+    """Per-lag thresholds chosen by subsample cross-validation.
 
     n_splits random subsample splits are drawn; each keeps a fraction
     1 - 1/log(n) of the time points (ascending) as the first part and the
-    complement as the second part.
+    complement as the second part.  Each level is the best of grid_size
+    candidates.  The pipeline derives the seed of each lag's splits from
+    seed, which must be nonnegative.
     """
 
     n_splits: int = 20
@@ -37,6 +39,8 @@ class CvPlan:
             raise InvalidInput(f"n_splits must be positive, got {self.n_splits}")
         if self.grid_size < 3:
             raise InvalidInput(f"grid_size must be at least 3, got {self.grid_size}")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be nonnegative, got {self.seed}")
 
 
 def split_sizes(n: int) -> tuple[int, int]:
@@ -47,12 +51,12 @@ def split_sizes(n: int) -> tuple[int, int]:
     return n1, n - n1
 
 
-def split_indices(plan: CvPlan, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def split_indices(mode: CvThreshold, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Deterministic subsample splits as (first, second) sorted 0-based index arrays."""
     n1, _ = split_sizes(n)
     out = []
-    for s in range(plan.n_splits):
-        rng = np.random.default_rng((int(plan.seed), s))
+    for s in range(mode.n_splits):
+        rng = np.random.default_rng((int(mode.seed), s))
         in_first = np.zeros(n, dtype=bool)
         in_first[rng.choice(n, size=n1, replace=False)] = True
         out.append((np.flatnonzero(in_first), np.flatnonzero(~in_first)))
@@ -90,16 +94,6 @@ def split_row_autocov(series: MatrixSeries, indices: np.ndarray, k: int) -> np.n
     return (lead.T @ base) / (idx.size * p)
 
 
-def _pair_moment_sum(series: MatrixSeries, indices: np.ndarray, h: int) -> np.ndarray:
-    """Sum over the subsample of vec(Y_t) vec(Y_{t+h})', skipping t + h past the end."""
-    n, p, q = series.n, series.p, series.q
-    idx = np.asarray(indices, dtype=int)
-    valid = idx[idx + h <= n - 1]
-    base = series.data[valid].reshape(valid.size, p * q)
-    lead = series.data[valid + h].reshape(valid.size, p * q)
-    return base.T @ lead
-
-
 def split_pair_product(series: MatrixSeries, indices: np.ndarray, h: int) -> np.ndarray:
     """Uncentered entry-pair second moments at lag h over a time subsample.
 
@@ -108,7 +102,8 @@ def split_pair_product(series: MatrixSeries, indices: np.ndarray, h: int) -> np.
     contribute zero.  The flattened (p*q, p*q) layout carries the same
     entry multiset as the corresponding Kronecker-product average.
     """
-    return _pair_moment_sum(series, indices, h) / np.asarray(indices).size
+    idx = np.asarray(indices, dtype=int)
+    return _lag_product(series.data, h, series.p * series.q, idx).T / idx.size
 
 
 def _grid_risk(first: np.ndarray, second: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -137,24 +132,24 @@ def _grid_risk(first: np.ndarray, second: np.ndarray, grid: np.ndarray) -> np.nd
     return b @ b + np.cumsum(gains[::-1])[::-1][1:]
 
 
-def _part_row_autocov(product, lead_sum, base_sum, count, mean_sum, size, p):
+def _part_row_autocov(product, sum_lead, sum_base, count, mean_sum, size, p):
     """split_row_autocov from sums over a part's valid terms of full-mean-centred data.
 
-    product, lead_sum and base_sum are the sums of c_{t+k}' c_t, c_{t+k}
+    product, sum_lead and sum_base are the sums of c_{t+k}' c_t, c_{t+k}
     and c_t over the part's count valid t, and mean_sum the sum of c_t
     over all size of its t.  With d = mean_sum / size the part's mean of c,
     sum (c_{t+k} - d)' (c_t - d) expands to
-    product - lead_sum' d - d' base_sum + count d' d.
+    product - sum_lead' d - d' sum_base + count d' d.
     """
     d = mean_sum / size
-    return (product - lead_sum.T @ d - d.T @ base_sum + count * (d.T @ d)) / (size * p)
+    return (product - sum_lead.T @ d - d.T @ sum_base + count * (d.T @ d)) / (size * p)
 
 
 def _split_row_autocovs(centered: np.ndarray, k: int, total: np.ndarray, splits):
     """Yield split_row_autocov of the first and of the second part of each split.
 
-    centered is the series centred by _center and total its
-    _row_lag_product at lag k.  The product and sums behind each estimate
+    centered is the series centred by _center and total its row-averaged
+    _lag_product at lag k.  The product and sums behind each estimate
     are additive over time points and the two parts of a split partition
     them, so only the second part's (small) sums are gathered; the first
     part's are the full-sample sums minus them.
@@ -165,11 +160,9 @@ def _split_row_autocovs(centered: np.ndarray, k: int, total: np.ndarray, splits)
     mean_total = centered.sum(axis=0)
     for first, second in splits:
         valid = second[second + k <= n - 1]
-        lead = centered[valid + k]
-        base = centered[valid]
-        product = lead.reshape(valid.size * p, q).T @ base.reshape(valid.size * p, q)
-        lead_sum = lead.sum(axis=0)
-        base_sum = base.sum(axis=0)
+        product = _lag_product(centered, k, q, valid)
+        lead_sum = centered[valid + k].sum(axis=0)
+        base_sum = centered[valid].sum(axis=0)
         mean_sum = centered[second].sum(axis=0)
         yield (
             _part_row_autocov(
@@ -185,7 +178,7 @@ def _split_row_autocovs(centered: np.ndarray, k: int, total: np.ndarray, splits)
         )
 
 
-def cv_threshold_autocov(series: MatrixSeries, k: int, plan: CvPlan) -> float:
+def cv_threshold_autocov(series: MatrixSeries, k: int, mode: CvThreshold) -> float:
     """Cross-validated threshold for the row-averaged autocovariance at lag k.
 
     Minimizes the average squared Frobenius distance between the
@@ -204,27 +197,27 @@ def cv_threshold_autocov(series: MatrixSeries, k: int, plan: CvPlan) -> float:
         Observed series.
     k : int
         Lag, 0 <= k <= n - 1.
-    plan : CvPlan
-        Split scheme; identical series and plan give identical output.
+    mode : CvThreshold
+        Split scheme; identical series and mode give identical output.
 
     Returns
     -------
     float
         Selected threshold, >= 0.
     """
-    n, p = series.n, series.p
+    n, p, q = series.n, series.p, series.q
     k = _check_lag(k, n, "k")
     centered = _center(series.data)
-    total = _row_lag_product(centered, k)
-    grid = threshold_grid(total / (n * p), plan.grid_size)
+    total = _lag_product(centered, k, q)
+    grid = threshold_grid(total / (n * p), mode.grid_size)
     risks = np.zeros(grid.size)
-    for a, b in _split_row_autocovs(centered, k, total, split_indices(plan, n)):
+    for a, b in _split_row_autocovs(centered, k, total, split_indices(mode, n)):
         risks += _grid_risk(a, b, grid)
-    risks /= plan.n_splits
+    risks /= mode.n_splits
     return float(grid[int(np.argmin(risks))])
 
 
-def cv_threshold_pair(series: MatrixSeries, h: int, plan: CvPlan) -> float:
+def cv_threshold_pair(series: MatrixSeries, h: int, mode: CvThreshold) -> float:
     """Cross-validated threshold for the row-pair cross-covariances at lag h.
 
     The split estimates are uncentered entry-pair second moments at lag h,
@@ -240,8 +233,8 @@ def cv_threshold_pair(series: MatrixSeries, h: int, plan: CvPlan) -> float:
         Observed series.
     h : int
         Lag, 0 <= h <= n - 1.
-    plan : CvPlan
-        Split scheme; identical series and plan give identical output.
+    mode : CvThreshold
+        Split scheme; identical series and mode give identical output.
 
     Returns
     -------
@@ -254,13 +247,13 @@ def cv_threshold_pair(series: MatrixSeries, h: int, plan: CvPlan) -> float:
         raise ResourceLimit(
             f"entry-pair moment matrix would hold {p * p * q * q} entries"
         )
-    base = series.data[: n - h].reshape(n - h, p * q)
-    lead = series.data[h:].reshape(n - h, p * q)
-    total = base.T @ lead
-    grid = threshold_grid(total / n, plan.grid_size)
+    # transposed, the products keep split_pair_product's layout: entry
+    # [a, b] sums Y_t[a] * Y_{t+h}[b]
+    total = _lag_product(series.data, h, p * q).T
+    grid = threshold_grid(total / n, mode.grid_size)
     risks = np.zeros(grid.size)
-    for first, second in split_indices(plan, n):
-        part = _pair_moment_sum(series, second, h)
+    for first, second in split_indices(mode, n):
+        part = _lag_product(series.data, h, p * q, second).T
         risks += _grid_risk((total - part) / first.size, part / second.size, grid)
-    risks /= plan.n_splits
+    risks /= mode.n_splits
     return float(grid[int(np.argmin(risks))])

@@ -336,6 +336,20 @@ def test_data_errors_exit_3_with_error_record(tmp_path, capsys):
         assert record["error"] == "InvalidInput"
         assert not result_path.exists()
 
+    # a negative seed is refused before numpy's SeedSequence sees it
+    out_path = tmp_path / "out"
+    negative_seed = [
+        ["simulate", "--example", 1, "--n", 60, "--out", out_path],
+        ["replicate", "--example", 1, "--n", "60", "--reps", 1, "--out", out_path],
+        ["segment", series_path, "--out", out_path, "--threshold", "cv:3"],
+        ["correlogram", series_path, "--out", out_path, "--threshold", "cv:3"],
+    ]
+    for argv in negative_seed:
+        assert _run(argv + ["--seed", -1]) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "InvalidInput"
+        assert not out_path.exists()
+
 
 def test_overflow_gives_one_error_record_and_no_warning(tmp_path, capsys):
     # sums of squares of a series scaled by 1e200 overflow in the estimators

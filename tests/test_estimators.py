@@ -7,6 +7,8 @@ import pytest
 
 from matseg import InvalidInput, MatrixSeries, ResourceLimit
 from matseg.estimators import (
+    _center,
+    _lag_product,
     hard_threshold,
     pair_autocov,
     pair_autocov_all,
@@ -116,6 +118,49 @@ def test_pair_autocov_all_stacks_every_row_pair():
             for j in range(1, 4):
                 single = pair_autocov(series, i, j, h)
                 assert np.array_equal(stack[i - 1, j - 1], single)
+
+
+def test_lag_product_row_width_sums_the_diagonal_row_blocks():
+    # row_autocov(k) is (1 / p) times the sum over r of S_rr(k)
+    rng = np.random.default_rng(14)
+    for n, p, q in [(12, 3, 4), (30, 1, 5), (9, 4, 1)]:
+        centered = _center(rng.standard_normal((n, p, q)))
+        for k in (0, 1, n - 1):
+            rows = _lag_product(centered, k, q)
+            pairs = _lag_product(centered, k, p * q).reshape(p, q, p, q)
+            blocks = sum(pairs[r, :, r, :] for r in range(p))
+            assert rows.shape == (q, q)
+            assert np.max(np.abs(rows - blocks)) <= 1e-12 * np.abs(blocks).max()
+
+
+def test_lag_product_over_given_time_points_matches_loop():
+    rng = np.random.default_rng(15)
+    n, p, q = 10, 2, 3
+    x = rng.standard_normal((n, p, q))
+    for width in (q, p * q):
+        for t in (np.array([0, 3, 4, 9]), np.array([], dtype=int), np.arange(n)):
+            for k in (0, 1, n - 1):
+                want = np.zeros((width, width))
+                for s in t:
+                    if s + k <= n - 1:
+                        want += x[s + k].reshape(-1, width).T @ x[s].reshape(-1, width)
+                got = _lag_product(x, k, width, t)
+                assert got.shape == (width, width)
+                assert np.max(np.abs(got - want)) <= 1e-12
+    # every valid time point is the default
+    assert np.array_equal(_lag_product(x, 2, q, np.arange(n)), _lag_product(x, 2, q))
+
+
+def test_lag_product_pair_width_matches_pair_autocov():
+    rng = np.random.default_rng(16)
+    n, p, q = 11, 3, 2
+    series = _random_series(rng, n, p, q)
+    for h in (0, 1, n - 1):
+        pairs = _lag_product(_center(series.data), h, p * q).reshape(p, q, p, q) / n
+        for i in range(1, p + 1):
+            for j in range(1, p + 1):
+                want = pair_autocov(series, i, j, h)
+                assert np.max(np.abs(pairs[i - 1, :, j - 1, :] - want)) <= 1e-12
 
 
 def test_pair_autocov_index_and_lag_errors():

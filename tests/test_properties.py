@@ -76,3 +76,13 @@ def test_column_permutation_carries_the_partition(shape, data):
     assert res_perm.groups == res.groups
     for block, block_perm in zip(res.a_hat, res_perm.a_hat):
         assert subspace_distance(block_perm, block[perm]) <= 1e-6
+
+
+@settings(derandomize=True, deadline=None)
+@given(shape=shapes, shift=st.floats(-1e2, 1e2))
+def test_groups_invariant_under_constant_shift(shape, shift):
+    # every estimator centres by the sample mean, so a constant added to
+    # every entry changes the scores only by rounding
+    raw = _series(*shape)
+    res, res_shifted = _segment_pair(raw, raw + shift)
+    assert res_shifted.groups == res.groups

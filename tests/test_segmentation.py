@@ -313,6 +313,51 @@ def test_threshold_levels_per_mode_and_kind():
         threshold_levels(fixed, series, 2, lags)
 
 
+def _ar1_series(shift):
+    rng = np.random.default_rng((70, 1))
+    data = rng.standard_normal((200, 3, 4))
+    for t in range(1, 200):
+        data[t] += 0.5 * data[t - 1]
+    return MatrixSeries(data + shift)
+
+
+def _cv_levels_with_and_without_shift(kind):
+    mode = CvThreshold(n_splits=5)
+    return [threshold_levels(mode, _ar1_series(shift), kind, range(4)) for shift in (0.0, 5.0)]
+
+
+def test_cv_autocov_levels_invariant_under_constant_shift():
+    # the row autocovariances are centred, so a constant added to every
+    # entry leaves their cross-validated levels as they are; the shift
+    # rounds the data, and with them the levels, in the last bits
+    base, shifted = _cv_levels_with_and_without_shift(0)
+    assert np.allclose(shifted, base, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="cv_threshold_pair risks uncentred second moments, while lag_scores "
+    "thresholds centred covariances: a constant shift of 5.0 moves the v levels "
+    "of this series from 0.07-0.30 to 0",
+)
+def test_cv_pair_levels_invariant_under_constant_shift():
+    base, shifted = _cv_levels_with_and_without_shift(1)
+    assert np.allclose(shifted, base, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=DegenerateVariance,
+    reason="hard-thresholding the lag-0 diagonal block S_11(0) off its diagonal "
+    "leaves it indefinite, so a transformed component gets a negative variance",
+)
+def test_cv_segment_of_valid_example_1_series():
+    # the series of `matseg simulate --example 1 --n 300 --seed 11`
+    series, _ = gen_example(1, 300, np.random.default_rng((11, 1, 300)))
+    result = segment(series, SegmentationConfig(threshold=CvThreshold(n_splits=5)))
+    assert sorted(g for group in result.groups for g in group) == list(range(1, 7))
+
+
 def test_segment_cross_validates_lag0_level_once(monkeypatch):
     calls = []
 

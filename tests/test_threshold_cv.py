@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from matseg import InvalidInput, MatrixSeries, ResourceLimit
-from matseg.estimators import _center, _row_lag_product, hard_threshold, row_autocov
+from matseg.estimators import _center, _lag_product, hard_threshold, row_autocov
 from matseg.threshold_cv import (
     MIN_CV_LENGTH,
-    CvPlan,
+    CvThreshold,
     _grid_risk,
     _split_row_autocovs,
     cv_threshold_autocov,
@@ -40,7 +40,7 @@ def test_split_sizes_always_partition():
 
 
 def test_split_indices_shape_and_determinism():
-    plan = CvPlan(n_splits=6, grid_size=8, seed=9)
+    plan = CvThreshold(n_splits=6, grid_size=8, seed=9)
     n = 40
     splits = split_indices(plan, n)
     assert len(splits) == 6
@@ -53,14 +53,14 @@ def test_split_indices_shape_and_determinism():
     again = split_indices(plan, n)
     for (a1, a2), (b1, b2) in zip(splits, again):
         assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
-    other = split_indices(CvPlan(n_splits=6, grid_size=8, seed=10), n)
+    other = split_indices(CvThreshold(n_splits=6, grid_size=8, seed=10), n)
     assert any(not np.array_equal(a[0], b[0]) for a, b in zip(splits, other))
 
 
 def test_split_indices_match_sort_and_setdiff_construction():
     # the mask construction must reproduce the sorted draw and its complement
     for seed, n in [(0, 8), (3, 40), (17, 100), (2**40 + 5, 257), (9, 1500)]:
-        plan = CvPlan(n_splits=4, grid_size=8, seed=seed)
+        plan = CvThreshold(n_splits=4, grid_size=8, seed=seed)
         n1, _ = split_sizes(n)
         for s, (first, second) in enumerate(split_indices(plan, n)):
             rng = np.random.default_rng((seed, s))
@@ -194,7 +194,7 @@ def test_grid_risk_matches_searchsorted_bins_exactly():
 def test_split_row_autocovs_match_split_row_autocov():
     rng = np.random.default_rng(63)
     n = 20
-    plan = CvPlan(n_splits=8, grid_size=6, seed=4)
+    plan = CvThreshold(n_splits=8, grid_size=6, seed=4)
     splits = split_indices(plan, n)
     # at lag n - 2 only t = 0, 1 are valid and at lag n - 1 only t = 0: some
     # split leaves the second part without a valid term, and some the first
@@ -205,7 +205,7 @@ def test_split_row_autocovs_match_split_row_autocov():
         scale = np.abs(row_autocov(series, 0)).max()
         centered = _center(series.data)
         for k in (0, 1, n - 2, n - 1):
-            total = _row_lag_product(centered, k)
+            total = _lag_product(centered, k, 3)
             got = list(_split_row_autocovs(centered, k, total, splits))
             assert len(got) == len(splits)
             for (a, b), (first, second) in zip(got, splits):
@@ -215,14 +215,14 @@ def test_split_row_autocovs_match_split_row_autocov():
 
 def test_cv_threshold_autocov_zero_series_returns_zero():
     series = MatrixSeries(np.zeros((40, 2, 3)))
-    assert cv_threshold_autocov(series, 1, CvPlan(n_splits=4, grid_size=8, seed=0)) == 0.0
+    assert cv_threshold_autocov(series, 1, CvThreshold(n_splits=4, grid_size=8, seed=0)) == 0.0
 
 
 def test_cv_threshold_autocov_zeroes_noise_entries():
     for seed in (0, 1):
         rng = np.random.default_rng((600, seed))
         series = MatrixSeries(rng.standard_normal((400, 2, 3)))
-        u = cv_threshold_autocov(series, 1, CvPlan(seed=0))
+        u = cv_threshold_autocov(series, 1, CvThreshold(seed=0))
         est = row_autocov(series, 1)
         after = np.count_nonzero(hard_threshold(est, u))
         assert u > 0.0
@@ -246,7 +246,7 @@ def test_cv_threshold_autocov_matches_argmin_oracle():
     rng = np.random.default_rng(601)
     for _ in range(5):
         series = MatrixSeries(rng.standard_normal((60, 2, 3)))
-        plan = CvPlan(n_splits=5, grid_size=8, seed=3)
+        plan = CvThreshold(n_splits=5, grid_size=8, seed=3)
         u_hat = cv_threshold_autocov(series, 1, plan)
         want = _oracle_level(series, 1, plan, row_autocov(series, 1), brute_split_row_autocov)
         assert np.isclose(u_hat, want, atol=1e-12)
@@ -255,8 +255,8 @@ def test_cv_threshold_autocov_matches_argmin_oracle():
 def test_cv_threshold_autocov_finer_grid_does_not_hurt():
     rng = np.random.default_rng(54)
     series = MatrixSeries(rng.standard_normal((60, 2, 3)))
-    coarse = CvPlan(n_splits=5, grid_size=4, seed=3)
-    fine = CvPlan(n_splits=5, grid_size=32, seed=3)
+    coarse = CvThreshold(n_splits=5, grid_size=4, seed=3)
+    fine = CvThreshold(n_splits=5, grid_size=32, seed=3)
     u_coarse = cv_threshold_autocov(series, 1, coarse)
     u_fine = cv_threshold_autocov(series, 1, fine)
 
@@ -274,14 +274,14 @@ def test_cv_threshold_autocov_finer_grid_does_not_hurt():
 def test_cv_threshold_autocov_deterministic():
     rng = np.random.default_rng(55)
     series = MatrixSeries(rng.standard_normal((50, 2, 2)))
-    plan = CvPlan(n_splits=7, grid_size=10, seed=21)
+    plan = CvThreshold(n_splits=7, grid_size=10, seed=21)
     assert cv_threshold_autocov(series, 1, plan) == cv_threshold_autocov(series, 1, plan)
 
 
 def test_cv_threshold_autocov_selected_value_is_on_grid():
     rng = np.random.default_rng(56)
     series = MatrixSeries(rng.standard_normal((50, 2, 2)))
-    plan = CvPlan(n_splits=4, grid_size=9, seed=2)
+    plan = CvThreshold(n_splits=4, grid_size=9, seed=2)
     u = cv_threshold_autocov(series, 1, plan)
     grid = threshold_grid(np.abs(row_autocov(series, 1)), plan.grid_size)
     assert any(np.isclose(u, g, atol=0) for g in grid)
@@ -290,14 +290,14 @@ def test_cv_threshold_autocov_selected_value_is_on_grid():
 def test_cv_threshold_rejects_short_series():
     series = MatrixSeries(np.random.default_rng(0).standard_normal((MIN_CV_LENGTH - 1, 1, 2)))
     with pytest.raises(InvalidInput):
-        cv_threshold_autocov(series, 1, CvPlan(n_splits=3, grid_size=4, seed=0))
+        cv_threshold_autocov(series, 1, CvThreshold(n_splits=3, grid_size=4, seed=0))
 
 
 def test_cv_threshold_pair_scalar_matches_argmin_oracle():
     rng = np.random.default_rng(57)
     for _ in range(5):
         series = MatrixSeries(rng.standard_normal((50, 1, 1)))
-        plan = CvPlan(n_splits=6, grid_size=8, seed=5)
+        plan = CvThreshold(n_splits=6, grid_size=8, seed=5)
         v_hat = cv_threshold_pair(series, 1, plan)
         full = split_pair_product(series, np.arange(series.n), 1)
         want = _oracle_level(series, 1, plan, full, brute_split_pair_product)
@@ -312,7 +312,7 @@ def _pair_oracle_level(series, h, plan):
 def test_cv_threshold_pair_multi_entry_matches_argmin_oracle():
     rng = np.random.default_rng(60)
     n = 30
-    plan = CvPlan(n_splits=6, grid_size=10, seed=11)
+    plan = CvThreshold(n_splits=6, grid_size=10, seed=11)
     # at lag n - 2 only t = 0, 1 are valid; some split must hold neither in
     # its second part, so that part's product is empty
     assert any(second[0] > 1 for _, second in split_indices(plan, n))
@@ -326,7 +326,7 @@ def test_cv_threshold_pair_multi_entry_matches_argmin_oracle():
 def test_cv_threshold_at_last_lag_matches_argmin_oracle():
     rng = np.random.default_rng(61)
     n = 20
-    plan = CvPlan(n_splits=8, grid_size=6, seed=4)
+    plan = CvThreshold(n_splits=8, grid_size=6, seed=4)
     # only t = 0 is valid at lag n - 1; it must fall in each part in some split
     assert {bool(first[0] == 0) for first, _ in split_indices(plan, n)} == {True, False}
     for _ in range(3):
@@ -341,24 +341,26 @@ def test_cv_threshold_at_last_lag_matches_argmin_oracle():
 
 def test_cv_threshold_pair_zero_series_returns_zero():
     series = MatrixSeries(np.zeros((40, 2, 2)))
-    assert cv_threshold_pair(series, 1, CvPlan(n_splits=4, grid_size=8, seed=0)) == 0.0
+    assert cv_threshold_pair(series, 1, CvThreshold(n_splits=4, grid_size=8, seed=0)) == 0.0
 
 
 def test_cv_threshold_pair_deterministic():
     rng = np.random.default_rng(58)
     series = MatrixSeries(rng.standard_normal((50, 1, 1)))
-    plan = CvPlan(n_splits=6, grid_size=8, seed=5)
+    plan = CvThreshold(n_splits=6, grid_size=8, seed=5)
     assert cv_threshold_pair(series, 1, plan) == cv_threshold_pair(series, 1, plan)
 
 
 def test_cv_threshold_pair_resource_guard():
     series = MatrixSeries(np.zeros((10, 101, 101)))
     with pytest.raises(ResourceLimit):
-        cv_threshold_pair(series, 1, CvPlan(n_splits=2, grid_size=4, seed=0))
+        cv_threshold_pair(series, 1, CvThreshold(n_splits=2, grid_size=4, seed=0))
 
 
 def test_cv_plan_validation():
     with pytest.raises(InvalidInput):
-        CvPlan(n_splits=0)
+        CvThreshold(n_splits=0)
     with pytest.raises(InvalidInput):
-        CvPlan(grid_size=2)
+        CvThreshold(grid_size=2)
+    with pytest.raises(InvalidInput):
+        CvThreshold(seed=-1)

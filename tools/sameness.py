@@ -1,0 +1,121 @@
+"""Manifest of the matseg CLI's outputs on fixed inputs, for comparing two source trees.
+
+    python tools/sameness.py SRC_DIR [--blas-threads N] > manifest.txt
+
+Every command runs as ``python -m matseg.cli`` in a fresh subprocess with
+``PYTHONPATH=SRC_DIR`` and, by default, OpenBLAS, OpenMP and MKL on one
+thread.  Each manifest line gives the command's exit code, the sha256 of
+the files it writes and the sha256 of its stderr, then the command.  Two
+trees that behave the same print identical manifests, so ``diff`` of two
+manifests lists the commands whose output moved.
+
+The inputs are generated here: ``simulate --seed 11`` writes examples 1-3 at
+n = 60, 300 and 1500, and an order-3 3x4x5 series is written directly.
+Each matrix series is segmented under none, fixed:0.05,0.03 and cv:5 and
+its correlogram taken raw, with --gamma (from its unthresholded result)
+and under cv:3; the tensor is segmented raw and under cv:3; two small
+replicate reports close the list.  Commands run one at a time in a
+temporary directory, with relative paths.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+EXAMPLES = (1, 2, 3)
+LENGTHS = (60, 300, 1500)
+SEGMENT_THRESHOLDS = ("none", "fixed:0.05,0.03", "cv:5")
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def write_tensor(path: Path) -> None:
+    """An order-3 3x4x5 AR(1) series of length 300 in the matseg tensor format."""
+    rng = np.random.default_rng((11, 3, 4, 5))
+    data = rng.standard_normal((300, 3, 4, 5))
+    for t in range(1, data.shape[0]):
+        data[t] += 0.6 * data[t - 1]
+    lines = ["matseg,tensor,1", "300,3,3,4,5"]
+    # mode-major flattening, index 1 fastest, as the series format requires
+    lines += [",".join(repr(float(v)) for v in x.ravel(order="F")) for x in data]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def commands() -> list[tuple[list[str], list[str]]]:
+    """Every (argv, written files) pair, in run order."""
+    out = []
+    series = []
+    for example in EXAMPLES:
+        for n in LENGTHS:
+            name = f"ex{example}_n{n}.txt"
+            series.append(name)
+            argv = ["simulate", "--example", str(example), "--n", str(n), "--seed", "11"]
+            out.append((argv + ["--out", name], [name, name + ".truth"]))
+    for name in series:
+        for i, spec in enumerate(SEGMENT_THRESHOLDS):
+            result = f"{name}.seg{i}.json"
+            out.append((["segment", name, "--out", result, "--threshold", spec], [result]))
+        correlograms = [[], ["--gamma", f"{name}.seg0.json"], ["--threshold", "cv:3"]]
+        for i, flags in enumerate(correlograms):
+            csv = f"{name}.cor{i}.csv"
+            out.append((["correlogram", name, "--out", csv] + flags, [csv]))
+    for i, flags in enumerate([[], ["--threshold", "cv:3"]]):
+        result = f"tensor.seg{i}.json"
+        out.append((["segment", "tensor.txt", "--out", result] + flags, [result]))
+    reports = [
+        ["--example", "1", "--n", "60,100", "--reps", "4"],
+        ["--example", "3", "--n", "100", "--reps", "3", "--threshold", "cv:3"],
+    ]
+    for i, flags in enumerate(reports):
+        csv = f"report{i}.csv"
+        argv = ["replicate"] + flags + ["--seed", "0", "--threads", "1", "--out", csv]
+        out.append((argv, [csv]))
+    return out
+
+
+def digest(paths: list[Path]) -> str:
+    """sha256 over the files in order; a missing file counts as empty."""
+    h = hashlib.sha256()
+    for path in paths:
+        h.update(path.read_bytes() if path.exists() else b"")
+    return h.hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src_dir", help="directory holding the matseg package")
+    parser.add_argument(
+        "--blas-threads",
+        type=int,
+        default=1,
+        help="BLAS threads per command; 0 leaves the thread variables as they are",
+    )
+    args = parser.parse_args()
+    env = dict(os.environ, PYTHONPATH=str(Path(args.src_dir).resolve()))
+    if args.blas_threads > 0:
+        env.update({var: str(args.blas_threads) for var in BLAS_VARIABLES})
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        write_tensor(work / "tensor.txt")
+        for argv, written in commands():
+            run = subprocess.run(
+                [sys.executable, "-m", "matseg.cli"] + argv,
+                cwd=work,
+                env=env,
+                capture_output=True,
+            )
+            err = hashlib.sha256(run.stderr).hexdigest()
+            files = digest([work / name for name in written])
+            print(f"{run.returncode} {files} {err} {' '.join(argv)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
