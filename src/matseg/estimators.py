@@ -112,16 +112,19 @@ def pair_autocov_all(series: MatrixSeries, h: int) -> np.ndarray:
     return _pair_lag_products(_center(series.data), h)
 
 
+def _check_pair_size(width: int, what: str) -> None:
+    """Refuse a (width, width) product of more than PAIR_TENSOR_ENTRY_LIMIT entries."""
+    if width * width > PAIR_TENSOR_ENTRY_LIMIT:
+        raise ResourceLimit(f"{what} would hold {width * width} entries")
+
+
 def _pair_lag_products(centered: np.ndarray, h: int) -> np.ndarray:
     """pair_autocov_all at lag h from data already centred by its full-sample mean.
 
     Scoring passes centre once and call this per lag; h is not checked.
     """
     n, p, q = centered.shape
-    if p * p * q * q > PAIR_TENSOR_ENTRY_LIMIT:
-        raise ResourceLimit(
-            f"row-pair covariance tensor would hold {p * p * q * q} entries"
-        )
+    _check_pair_size(p * q, "row-pair covariance tensor")
     flat = _lag_product(centered, h, p * q) / n
     return flat.reshape(p, q, p, q).transpose(0, 2, 1, 3)
 

@@ -210,6 +210,52 @@ def _component_scales(tensor0: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return np.sqrt(var)
 
 
+def _sandwich(tensor: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """mat applied to both column axes of a (p, p, q, q) row-pair tensor.
+
+    Entry (k, l, i, j) is the sum over a, b of tensor[k, l, a, b] mat[a, i]
+    mat[b, j]: the row-pair covariances of the series right-multiplied by mat.
+    One stacked product per axis, a before b, with no transposed copy.
+    """
+    return np.matmul(np.matmul(mat.T, tensor), mat)
+
+
+def _lag_score(
+    tensor: np.ndarray, gamma: np.ndarray, v: float | None, h: int, denom: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair scores at lag h from that lag's (p, p, q, q) row-pair tensor.
+
+    The one per-lag step of every scoring pass: threshold the tensor at
+    level v, rotate its column axes by gamma, and take each column pair's
+    largest absolute correlation over row pairs, symmetrised over lags h
+    and -h.  The correlation denominators come from the lag-0 tensor: at
+    h = 0 they are computed here and denom is ignored; later lags pass on
+    the denom that lag 0 returned.
+
+    Returns
+    -------
+    scores : ndarray, shape (q, q)
+    denom : ndarray, shape (p, p, q, q)
+    rotated : ndarray, shape (p, p, q, q)
+        The thresholded tensor rotated by gamma.
+    """
+    tensor = _thresholded_pair_tensor(tensor, v, h)
+    if h == 0:
+        scales = _component_scales(tensor, gamma)
+        denom = np.einsum("ki,lj->klij", scales, scales)
+    rotated = _sandwich(tensor, gamma)
+    # a pass holds one lag's tensors at a time, so each is freed once spent
+    del tensor
+    ratio = rotated / denom
+    corr = np.abs(ratio, out=ratio).max(axis=(0, 1))
+    return np.maximum(corr, corr.T), denom, rotated
+
+
+def _check_score_window(m: int, n: int) -> None:
+    if not 0 <= m <= n - 2:
+        raise InvalidInput(f"m must satisfy 0 <= m <= n - 2, got {m} with n = {n}")
+
+
 def lag_scores(
     standardized: MatrixSeries,
     gamma: np.ndarray,
@@ -229,36 +275,16 @@ def lag_scores(
     -------
     ndarray, shape (m + 1, q, q)
     """
-    n = standardized.n
-    if not 0 <= m <= n - 2:
-        raise InvalidInput(f"m must satisfy 0 <= m <= n - 2, got {m} with n = {n}")
+    _check_score_window(m, standardized.n)
     if v_per_lag is not None and len(v_per_lag) != m + 1:
         raise InvalidInput(f"v_per_lag must have length {m + 1}, got {len(v_per_lag)}")
     gam = np.asarray(gamma, dtype=float)
     centered = _center(standardized.data)
-    tensor0 = _thresholded_pair_tensor(
-        _pair_lag_products(centered, 0), None if v_per_lag is None else v_per_lag[0], 0
-    )
-    scales = _component_scales(tensor0, gam)
-    denom = np.einsum("ki,lj->klij", scales, scales)
     scores = np.empty((m + 1, standardized.q, standardized.q))
-    for h in range(0, m + 1):
-        if h == 0:
-            tensor = tensor0
-        else:
-            tensor = _thresholded_pair_tensor(
-                _pair_lag_products(centered, h),
-                None if v_per_lag is None else v_per_lag[h],
-                h,
-            )
-        sandwich = np.tensordot(tensor, gam, axes=([2], [0]))
-        # the centred data live for the whole pass, so each lag's arrays are
-        # freed as soon as they are used: no product runs beside a spent one
-        del tensor
-        sandwich = np.tensordot(sandwich, gam, axes=([2], [0]))
-        corr = np.abs(sandwich / denom).max(axis=(0, 1))
-        del sandwich
-        np.maximum(corr, corr.T, out=scores[h])
+    denom = None
+    for h in range(m + 1):
+        v = None if v_per_lag is None else v_per_lag[h]
+        scores[h], denom, _ = _lag_score(_pair_lag_products(centered, h), gam, v, h, denom)
     if not np.all(np.isfinite(scores)):
         raise InvalidInput("pair scores are not finite")
     return scores
@@ -393,18 +419,69 @@ def group_columns(edges, q: int) -> list[list[int]]:
     return sorted((sorted(g) for g in members.values()), key=lambda g: g[0])
 
 
-def _trivial_result(series: MatrixSeries, cfg: SegmentationConfig) -> SegmentationResult:
-    # thresholding leaves the variance of a lone column as it is
-    standardized, standardizer = standardize(series, None, cfg.eps)
-    gamma = np.eye(1)
+@dataclass
+class _Maps:
+    """The maps of one segmentation run and the levels behind them."""
+
+    standardizer: np.ndarray
+    gamma: np.ndarray
+    u_lag0: float | None = None
+    u_per_lag: list[float] | None = None
+    v_per_lag: list[float] | None = None
+
+
+def _maps(series: MatrixSeries, cfg: SegmentationConfig) -> tuple[_Maps, MatrixSeries]:
+    """First step of segment: threshold levels, standardizer and gamma.
+
+    Returns the maps and the standardized series that the pair scores are
+    taken on.  A single column gets the identity rotation and no levels.
+    """
+    if series.q == 1:
+        # thresholding leaves the variance of a lone column as it is
+        standardized, standardizer = standardize(series, None, cfg.eps)
+        return _Maps(standardizer, np.eye(1)), standardized
+    lag0 = threshold_levels(cfg.threshold, series, 0, [0])
+    u_lag0 = None if lag0 is None else lag0[0]
+    standardized, standardizer = standardize(series, u_lag0, cfg.eps)
+    u_per_lag = threshold_levels(cfg.threshold, standardized, 0, range(1, cfg.k0 + 1))
+    _, gamma = sym_eig(w_stat(standardized, cfg.k0, u_per_lag))
+    v_per_lag = threshold_levels(cfg.threshold, standardized, 1, range(cfg.m + 1))
+    return _Maps(standardizer, gamma, u_lag0, u_per_lag, v_per_lag), standardized
+
+
+def _grouped(
+    maps: _Maps, matrix: np.ndarray | None, transformed: MatrixSeries, cfg: SegmentationConfig
+) -> SegmentationResult:
+    """Last step of segment: sort the pairs of the (q, q) score matrix and group them.
+
+    matrix is not read when q = 1.  transformed is the standardized series
+    rotated by gamma.
+    """
+    q = maps.gamma.shape[0]
+    pairs = [
+        (i + 1, j + 1, float(matrix[i, j]))
+        for i in range(q)
+        for j in range(i + 1, q)
+    ]
+    pairs.sort(key=lambda t: (-t[2], t[0], t[1]))
+    if len(pairs) < 2:
+        d_hat = 0
+    else:
+        d_hat = ratio_select([s for _, _, s in pairs], cfg.c0, cfg.ratio_shift)
+    edges = [(i, j) for i, j, _ in pairs[:d_hat]]
+    groups = group_columns(edges, q)
+    a_hat = [maps.gamma[:, [c - 1 for c in g]] for g in groups]
     return SegmentationResult(
-        gamma=gamma,
-        standardizer=standardizer,
-        transformed=standardized,
-        scores=[],
-        selected_edges=0,
-        groups=[[1]],
-        a_hat=[gamma.copy()],
+        gamma=maps.gamma,
+        standardizer=maps.standardizer,
+        transformed=transformed,
+        scores=pairs,
+        selected_edges=d_hat,
+        groups=groups,
+        a_hat=a_hat,
+        u_lag0=maps.u_lag0,
+        u_per_lag=maps.u_per_lag,
+        v_per_lag=maps.v_per_lag,
     )
 
 
@@ -425,38 +502,9 @@ def segment(series: MatrixSeries, cfg: SegmentationConfig | None = None) -> Segm
     """
     if cfg is None:
         cfg = SegmentationConfig()
-    q = series.q
-    if q == 1:
-        return _trivial_result(series, cfg)
-    lag0 = threshold_levels(cfg.threshold, series, 0, [0])
-    u_lag0 = None if lag0 is None else lag0[0]
-    standardized, standardizer = standardize(series, u_lag0, cfg.eps)
-    u_per_lag = threshold_levels(cfg.threshold, standardized, 0, range(1, cfg.k0 + 1))
-    _, gamma = sym_eig(w_stat(standardized, cfg.k0, u_per_lag))
-    v_per_lag = threshold_levels(cfg.threshold, standardized, 1, range(cfg.m + 1))
-    matrix = pair_score_matrix(standardized, gamma, cfg.m, v_per_lag)
-    pairs = [
-        (i + 1, j + 1, float(matrix[i, j]))
-        for i in range(q)
-        for j in range(i + 1, q)
-    ]
-    pairs.sort(key=lambda t: (-t[2], t[0], t[1]))
-    if len(pairs) < 2:
-        d_hat = 0
-    else:
-        d_hat = ratio_select([s for _, _, s in pairs], cfg.c0, cfg.ratio_shift)
-    edges = [(i, j) for i, j, _ in pairs[:d_hat]]
-    groups = group_columns(edges, q)
-    a_hat = [gamma[:, [c - 1 for c in g]] for g in groups]
-    return SegmentationResult(
-        gamma=gamma,
-        standardizer=standardizer,
-        transformed=MatrixSeries(standardized.data @ gamma),
-        scores=pairs,
-        selected_edges=d_hat,
-        groups=groups,
-        a_hat=a_hat,
-        u_lag0=u_lag0,
-        u_per_lag=u_per_lag,
-        v_per_lag=v_per_lag,
-    )
+    maps, standardized = _maps(series, cfg)
+    matrix = None
+    if series.q > 1:
+        matrix = pair_score_matrix(standardized, maps.gamma, cfg.m, maps.v_per_lag)
+    # formed after scoring, so the scoring pass runs beside one series less
+    return _grouped(maps, matrix, MatrixSeries(standardized.data @ maps.gamma), cfg)

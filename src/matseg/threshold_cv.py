@@ -6,11 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, ResourceLimit
+from .errors import InvalidInput
 from .estimators import (
-    PAIR_TENSOR_ENTRY_LIMIT,
     _center,
     _check_lag,
+    _check_pair_size,
     _lag_product,
     row_autocov,  # noqa: F401  unused here; bench/selftest.py probes this binding
 )
@@ -243,10 +243,7 @@ def cv_threshold_pair(series: MatrixSeries, h: int, mode: CvThreshold) -> float:
     """
     n, p, q = series.n, series.p, series.q
     h = _check_lag(h, n, "h")
-    if p * p * q * q > PAIR_TENSOR_ENTRY_LIMIT:
-        raise ResourceLimit(
-            f"entry-pair moment matrix would hold {p * p * q * q} entries"
-        )
+    _check_pair_size(p * q, "entry-pair moment matrix")
     # transposed, the products keep split_pair_product's layout: entry
     # [a, b] sums Y_t[a] * Y_{t+h}[b]
     total = _lag_product(series.data, h, p * q).T

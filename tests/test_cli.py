@@ -379,6 +379,19 @@ def test_degenerate_data_exits_4(tmp_path, capsys):
     assert record["error"] == "DegenerateColumn"
 
 
+def test_degenerate_tensor_mode_is_named_in_the_error_record(tmp_path, capsys):
+    data = np.random.default_rng((921, 1)).standard_normal((40, 3, 2, 2))
+    data[:, 1] = 1.0
+    const = tmp_path / "tensor.txt"
+    mio.write_series(const, TensorSeries(data))
+    assert _run(["segment", const, "--out", tmp_path / "r.json"]) == 4
+    record = json.loads(capsys.readouterr().err)
+    assert record == {
+        "error": "DegenerateColumn",
+        "message": "mode 1: column 2 has zero sample variance",
+    }
+
+
 def test_thread_resolution(monkeypatch, tmp_path):
     monkeypatch.delenv("MATSEG_THREADS", raising=False)
     assert _thread_count(3) == 3

@@ -4,14 +4,22 @@ import numpy as np
 import pytest
 
 from matseg import (
+    CvThreshold,
+    DegenerateColumn,
+    DegenerateVariance,
+    FixedThreshold,
     InvalidInput,
     MatrixSeries,
+    NoThreshold,
+    ResourceLimit,
     SegmentationConfig,
     TensorSeries,
     segment,
     sequential_segment,
 )
-from matseg.tensor import matricize, tensorize
+from matseg import estimators
+from matseg.estimators import _pair_lag_products
+from matseg.tensor import _fold_series, _relayout, _unfold_series, matricize, tensorize
 from matseg.simulation import gen_factor_varma
 from oracles import brute_matricize
 
@@ -114,11 +122,15 @@ def test_sequential_segment_matrix_case_matches_manual_composition():
     assert results[0].scores == manual1.scores
     assert results[0].groups == manual1.groups
 
-    # mode 2 consumes the mode-1 transformed series, transposed back
+    # mode 2 consumes the mode-1 transformed series, transposed back; its
+    # scores come from mode 1's carried products, so they agree to rounding
     carried = np.swapaxes(manual1.transformed.data, 1, 2)
     manual2 = segment(MatrixSeries(carried))
     assert np.array_equal(results[1].gamma, manual2.gamma)
-    assert results[1].scores == manual2.scores
+    assert [s[:2] for s in results[1].scores] == [s[:2] for s in manual2.scores]
+    assert np.allclose(
+        [s[2] for s in results[1].scores], [s[2] for s in manual2.scores], rtol=0, atol=1e-13
+    )
     assert results[1].groups == manual2.groups
     assert np.max(np.abs(final.data - manual2.transformed.data)) <= 1e-10
 
@@ -174,3 +186,104 @@ def test_sequential_segment_deterministic():
         assert a.scores == b.scores
         assert a.groups == b.groups
     assert np.array_equal(final_a.data, final_b.data)
+
+
+def _ar1_tensor(dims, n, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((n,) + dims)
+    for t in range(1, n):
+        data[t] += 0.6 * data[t - 1]
+    return TensorSeries(data)
+
+
+def _per_mode_segment(series, cfg):
+    # the driver before the modes shared their lag products: a full matrix
+    # segmentation of each mode's unfolding of the carried series
+    data, dims, results = series.data, series.dims, []
+    for mode in range(1, series.order + 1):
+        result = segment(MatrixSeries(np.swapaxes(_unfold_series(data, mode), 1, 2)), cfg)
+        results.append(result)
+        data = _fold_series(np.swapaxes(result.transformed.data, 1, 2), mode, dims)
+    return results, data
+
+
+@pytest.mark.parametrize(
+    "threshold", [NoThreshold(), FixedThreshold(0.05, 0.03), CvThreshold(n_splits=3)]
+)
+@pytest.mark.parametrize("dims, n", [((3, 4, 5), 200), ((2, 1, 3, 2), 150)])
+def test_sequential_segment_matches_per_mode_segment(threshold, dims, n):
+    series = _ar1_tensor(dims, n, (65, n))
+    cfg = SegmentationConfig(threshold=threshold)
+    results, final = sequential_segment(series, cfg)
+    expected, expected_final = _per_mode_segment(series, cfg)
+    assert np.array_equal(final.data, expected_final)
+    for mode, (got, want) in enumerate(zip(results, expected), start=1):
+        assert np.array_equal(got.gamma, want.gamma)
+        assert np.array_equal(got.standardizer, want.standardizer)
+        assert np.array_equal(got.transformed.data, want.transformed.data)
+        assert (got.u_lag0, got.u_per_lag, got.v_per_lag) == (
+            want.u_lag0,
+            want.u_per_lag,
+            want.v_per_lag,
+        )
+        assert [s[:2] for s in got.scores] == [s[:2] for s in want.scores]
+        assert got.selected_edges == want.selected_edges
+        assert got.groups == want.groups
+        if mode == 1:
+            assert got.scores == want.scores
+        else:
+            got_values = np.array([s[2] for s in got.scores])
+            want_values = np.array([s[2] for s in want.scores])
+            assert np.max(np.abs(got_values - want_values), initial=0.0) <= 1e-13
+
+
+def test_sequential_segment_forms_one_row_pair_product_per_lag(monkeypatch):
+    series = _ar1_tensor((3, 4, 5), 120, 66)
+    full_width = []
+    lag_product = estimators._lag_product
+
+    def counting(x, k, width, t=None):
+        if t is None and width == 60:
+            full_width.append(k)
+        return lag_product(x, k, width, t)
+
+    monkeypatch.setattr(estimators, "_lag_product", counting)
+    sequential_segment(series, SegmentationConfig(m=10))
+    assert full_width == list(range(11))
+
+
+def test_relayout_reindexes_one_lag_product_into_every_mode():
+    # one time point makes every product entry a single multiplication, so
+    # the re-indexed mode-src product equals the mode-dst product exactly
+    rng = np.random.default_rng(67)
+    for dims in [(2, 3), (3, 4, 5), (2, 1, 3, 2)]:
+        x = rng.standard_normal((1,) + dims)
+        products = {
+            mode: _pair_lag_products(np.swapaxes(_unfold_series(x, mode), 1, 2), 0)
+            for mode in range(1, len(dims) + 1)
+        }
+        for src in products:
+            for dst in products:
+                assert np.array_equal(_relayout(products[src], src, dst, dims), products[dst])
+
+
+def test_mode_stage_errors_name_the_mode(monkeypatch):
+    # a zero mode-2 slice stays zero under the mode-1 map
+    data = _ar1_tensor((3, 4, 5), 80, 68).data.copy()
+    data[:, :, 1, :] = 0.0
+    with pytest.raises(DegenerateColumn, match=r"^mode 2: column 2 has zero sample variance$"):
+        sequential_segment(TensorSeries(data))
+
+    # a zero mode-1 row: every mode-1 fibre at (i2, i3) = (1, 1)
+    data = _ar1_tensor((3, 4, 5), 80, 69).data.copy()
+    data[:, :, 0, 0] = 0.0
+    with pytest.raises(DegenerateVariance, match=r"^mode 1: nonpositive variance"):
+        sequential_segment(TensorSeries(data))
+
+    # the one product every mode shares holds (3 * 4 * 5)^2 = 3600 entries
+    series = _ar1_tensor((3, 4, 5), 40, 70)
+    monkeypatch.setattr(estimators, "PAIR_TENSOR_ENTRY_LIMIT", 3599)
+    with pytest.raises(ResourceLimit, match=r"^mode 1: row-pair covariance tensor would hold 3600"):
+        sequential_segment(series)
+    monkeypatch.setattr(estimators, "PAIR_TENSOR_ENTRY_LIMIT", 3600)
+    sequential_segment(series)

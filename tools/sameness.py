@@ -13,9 +13,9 @@ The inputs are generated here: ``simulate --seed 11`` writes examples 1-3 at
 n = 60, 300 and 1500, and an order-3 3x4x5 series is written directly.
 Each matrix series is segmented under none, fixed:0.05,0.03 and cv:5 and
 its correlogram taken raw, with --gamma (from its unthresholded result)
-and under cv:3; the tensor is segmented raw and under cv:3; two small
-replicate reports close the list.  Commands run one at a time in a
-temporary directory, with relative paths.
+and under cv:3; the tensor is segmented under none, cv:3 and
+fixed:0.05,0.03; two small replicate reports close the list.  Commands
+run one at a time in a temporary directory, with relative paths.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ def commands() -> list[tuple[list[str], list[str]]]:
         for i, flags in enumerate(correlograms):
             csv = f"{name}.cor{i}.csv"
             out.append((["correlogram", name, "--out", csv] + flags, [csv]))
-    for i, flags in enumerate([[], ["--threshold", "cv:3"]]):
+    tensor_flags = [[], ["--threshold", "cv:3"], ["--threshold", "fixed:0.05,0.03"]]
+    for i, flags in enumerate(tensor_flags):
         result = f"tensor.seg{i}.json"
         out.append((["segment", "tensor.txt", "--out", result] + flags, [result]))
     reports = [
