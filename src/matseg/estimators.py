@@ -45,8 +45,8 @@ def _center(data: np.ndarray) -> np.ndarray:
 
     The buffer is C-ordered even when data is a strided view (as every
     tensor mode is), so the reshapes in _lag_product are views.  Every
-    estimator centres here except the reference pair_autocov and
-    split_row_autocov.
+    estimator centres here except the references pair_autocov,
+    split_row_autocov and split_pair_product.
     """
     return np.subtract(data, data.mean(axis=0), out=np.empty(data.shape))
 

@@ -78,6 +78,8 @@ class SegmentationConfig:
             raise InvalidInput(f"ratio_shift must be finite and positive, got {self.ratio_shift}")
         if not 0 < self.eps < 1:
             raise InvalidInput(f"eps must lie in (0, 1), got {self.eps}")
+        if not isinstance(self.threshold, ThresholdMode):
+            raise InvalidInput(f"unknown threshold mode {self.threshold!r}")
 
 
 @dataclass
@@ -175,28 +177,12 @@ def standardize(
     return MatrixSeries(series.data @ standardizer), standardizer
 
 
-def _thresholded_pair_tensor(tensor: np.ndarray, v: float | None, lag: int) -> np.ndarray:
-    """Entrywise threshold of an (p, p, q, q) row-pair tensor.
-
-    At lag 0 the diagonal entries of the diagonal (k, k) blocks are kept:
-    they are the component variances used as correlation denominators.
-    """
-    if v is None:
-        return tensor
-    out = hard_threshold(tensor, v)
-    if lag == 0:
-        p, q = tensor.shape[0], tensor.shape[2]
-        rows = np.arange(p)[:, None]
-        cols = np.arange(q)[None, :]
-        out[rows, rows, cols, cols] = tensor[rows, rows, cols, cols]
-    return out
-
-
 def _component_scales(tensor0: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Standard deviations of the transformed components.
 
     Entry [k, i] is the square root of gamma_i' S_kk(0) gamma_i where
-    S_kk(0) is the (already thresholded) lag-0 covariance of row k.
+    S_kk(0) is the unthresholded lag-0 covariance of row k, so each entry
+    is a sample variance and never negative.
     """
     p = tensor0.shape[0]
     diag_blocks = tensor0[np.arange(p), np.arange(p)]
@@ -228,7 +214,8 @@ def _lag_score(
     The one per-lag step of every scoring pass: threshold the tensor at
     level v, rotate its column axes by gamma, and take each column pair's
     largest absolute correlation over row pairs, symmetrised over lags h
-    and -h.  The correlation denominators come from the lag-0 tensor: at
+    and -h.  The correlation denominators are the transformed components'
+    standard deviations from the lag-0 tensor before it is thresholded: at
     h = 0 they are computed here and denom is ignored; later lags pass on
     the denom that lag 0 returned.
 
@@ -239,10 +226,11 @@ def _lag_score(
     rotated : ndarray, shape (p, p, q, q)
         The thresholded tensor rotated by gamma.
     """
-    tensor = _thresholded_pair_tensor(tensor, v, h)
     if h == 0:
         scales = _component_scales(tensor, gamma)
         denom = np.einsum("ki,lj->klij", scales, scales)
+    if v is not None:
+        tensor = hard_threshold(tensor, v)
     rotated = _sandwich(tensor, gamma)
     # a pass holds one lag's tensors at a time, so each is freed once spent
     del tensor
@@ -268,8 +256,8 @@ def lag_scores(
     component of column i and any component of column j at lags h and -h;
     the lag -h sample cross-covariances are the transposes of the lag h
     ones, so each lag's matrix is symmetric.  Under v_per_lag entry h
-    thresholds the lag-h covariances, and entry 0 also those behind the
-    correlation denominators (variances kept).
+    thresholds the lag-h covariances; the correlation denominators come
+    from the unthresholded lag-0 covariances.
 
     Returns
     -------

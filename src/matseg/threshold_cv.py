@@ -78,32 +78,42 @@ def threshold_grid(values, grid_size: int = 32) -> np.ndarray:
     return np.concatenate(([0.0], np.quantile(mags, levels), [mags.max()]))
 
 
-def split_row_autocov(series: MatrixSeries, indices: np.ndarray, k: int) -> np.ndarray:
-    """Row-averaged autocovariance at lag k over a time subsample.
+def _split_lag_cov(series: MatrixSeries, indices: np.ndarray, lag: int, width: int) -> np.ndarray:
+    """Reference body of split_row_autocov (width q) and split_pair_product (width p q).
 
-    The mean is taken over the subsampled matrices; any term whose lead
-    index t + k falls past the end of the series contributes zero while the
-    divisor stays the subsample size.
+    Centres by the full-sample mean, flattens each time slice to rows of
+    width entries, sums c_{t+lag}' c_t over the given t (a term whose lead
+    index t + lag falls past the end counts as zero) and divides by the
+    subsample size times the row count p q / width.  It forms its own
+    product, so the cross-validation can be checked against it.
     """
-    n, p, q = series.n, series.p, series.q
+    data = series.data
     idx = np.asarray(indices, dtype=int)
-    centered = series.data - series.data[idx].mean(axis=0)
-    valid = idx + k <= n - 1
-    lead = centered[idx[valid] + k].reshape(valid.sum() * p, q)
-    base = centered[idx[valid]].reshape(valid.sum() * p, q)
-    return (lead.T @ base) / (idx.size * p)
+    centered = data - data.mean(axis=0)
+    valid = idx[idx + lag <= series.n - 1]
+    lead = centered[valid + lag].reshape(-1, width)
+    base = centered[valid].reshape(-1, width)
+    return (lead.T @ base) / (idx.size * (series.p * series.q // width))
+
+
+def split_row_autocov(series: MatrixSeries, indices: np.ndarray, k: int) -> np.ndarray:
+    """Row-averaged autocovariance at lag k over a time subsample, shape (q, q).
+
+    The part estimate that cv_threshold_autocov risks: see _split_lag_cov.
+    Over every time point it is row_autocov.
+    """
+    return _split_lag_cov(series, indices, k, series.q)
 
 
 def split_pair_product(series: MatrixSeries, indices: np.ndarray, h: int) -> np.ndarray:
-    """Uncentered entry-pair second moments at lag h over a time subsample.
+    """Row-pair cross-covariances at lag h over a time subsample, shape (p q, p q).
 
-    Entry [(i, j), (k, l)] equals the subsample average of
-    Y_t[i, j] * Y_{t+h}[k, l]; terms with t + h past the series end
-    contribute zero.  The flattened (p*q, p*q) layout carries the same
-    entry multiset as the corresponding Kronecker-product average.
+    The part estimate that cv_threshold_pair risks: see _split_lag_cov.
+    Entry [(i, a), (j, b)] averages c_{t+h}[i, a] * c_t[j, b] over the
+    subsample; over every time point it is pair_autocov_all flattened to
+    rows (i, a) and columns (j, b).
     """
-    idx = np.asarray(indices, dtype=int)
-    return _lag_product(series.data, h, series.p * series.q, idx).T / idx.size
+    return _split_lag_cov(series, indices, h, series.p * series.q)
 
 
 def _grid_risk(first: np.ndarray, second: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -132,64 +142,37 @@ def _grid_risk(first: np.ndarray, second: np.ndarray, grid: np.ndarray) -> np.nd
     return b @ b + np.cumsum(gains[::-1])[::-1][1:]
 
 
-def _part_row_autocov(product, sum_lead, sum_base, count, mean_sum, size, p):
-    """split_row_autocov from sums over a part's valid terms of full-mean-centred data.
+def _cv_level(series: MatrixSeries, lag: int, mode: CvThreshold, width: int) -> float:
+    """Cross-validated threshold for the lag covariances of width-entry rows.
 
-    product, sum_lead and sum_base are the sums of c_{t+k}' c_t, c_{t+k}
-    and c_t over the part's count valid t, and mean_sum the sum of c_t
-    over all size of its t.  With d = mean_sum / size the part's mean of c,
-    sum (c_{t+k} - d)' (c_t - d) expands to
-    product - sum_lead' d - d' sum_base + count d' d.
+    Minimizes the average squared Frobenius distance between the
+    thresholded first-part estimate and the raw second-part estimate over a
+    grid of candidate levels drawn from the full-sample estimate.  Ties
+    resolve to the smallest candidate.  Every estimate is the series'
+    _lag_product at width, centred once by the full-sample mean and divided
+    by its time-point count times the row count p q / width, as
+    split_row_autocov and split_pair_product define it.  The product is a
+    sum over time points and the two parts of a split partition them, so
+    only the second part's product is formed per split; the first part's
+    is the full-sample product minus it.  lag is not checked.
     """
-    d = mean_sum / size
-    return (product - sum_lead.T @ d - d.T @ sum_base + count * (d.T @ d)) / (size * p)
-
-
-def _split_row_autocovs(centered: np.ndarray, k: int, total: np.ndarray, splits):
-    """Yield split_row_autocov of the first and of the second part of each split.
-
-    centered is the series centred by _center and total its row-averaged
-    _lag_product at lag k.  The product and sums behind each estimate
-    are additive over time points and the two parts of a split partition
-    them, so only the second part's (small) sums are gathered; the first
-    part's are the full-sample sums minus them.
-    """
-    n, p, q = centered.shape
-    lead_total = centered[k:].sum(axis=0)
-    base_total = centered[: n - k].sum(axis=0)
-    mean_total = centered.sum(axis=0)
-    for first, second in splits:
-        valid = second[second + k <= n - 1]
-        product = _lag_product(centered, k, q, valid)
-        lead_sum = centered[valid + k].sum(axis=0)
-        base_sum = centered[valid].sum(axis=0)
-        mean_sum = centered[second].sum(axis=0)
-        yield (
-            _part_row_autocov(
-                total - product,
-                lead_total - lead_sum,
-                base_total - base_sum,
-                n - k - valid.size,
-                mean_total - mean_sum,
-                first.size,
-                p,
-            ),
-            _part_row_autocov(product, lead_sum, base_sum, valid.size, mean_sum, second.size, p),
-        )
+    n = series.n
+    rows = series.p * series.q // width
+    centered = _center(series.data)
+    total = _lag_product(centered, lag, width)
+    grid = threshold_grid(total / (n * rows), mode.grid_size)
+    risks = np.zeros(grid.size)
+    for first, second in split_indices(mode, n):
+        part = _lag_product(centered, lag, width, second)
+        risks += _grid_risk((total - part) / (first.size * rows), part / (second.size * rows), grid)
+    risks /= mode.n_splits
+    return float(grid[int(np.argmin(risks))])
 
 
 def cv_threshold_autocov(series: MatrixSeries, k: int, mode: CvThreshold) -> float:
     """Cross-validated threshold for the row-averaged autocovariance at lag k.
 
-    Minimizes the average squared Frobenius distance between the
-    thresholded first-part estimate and the raw second-part estimate over a
-    grid of candidate levels drawn from the full-sample estimate.  Ties
-    resolve to the smallest candidate.
-
-    Each part's estimate is split_row_autocov (centred by the part's own
-    mean), formed from the series centred once by its full-sample mean:
-    per split only the second part's terms are gathered, and the first
-    part's sums are their complement in the full-sample sums.
+    The split estimates are split_row_autocov of each part; see _cv_level.
 
     Parameters
     ----------
@@ -205,27 +188,15 @@ def cv_threshold_autocov(series: MatrixSeries, k: int, mode: CvThreshold) -> flo
     float
         Selected threshold, >= 0.
     """
-    n, p, q = series.n, series.p, series.q
-    k = _check_lag(k, n, "k")
-    centered = _center(series.data)
-    total = _lag_product(centered, k, q)
-    grid = threshold_grid(total / (n * p), mode.grid_size)
-    risks = np.zeros(grid.size)
-    for a, b in _split_row_autocovs(centered, k, total, split_indices(mode, n)):
-        risks += _grid_risk(a, b, grid)
-    risks /= mode.n_splits
-    return float(grid[int(np.argmin(risks))])
+    return _cv_level(series, _check_lag(k, series.n, "k"), mode, series.q)
 
 
 def cv_threshold_pair(series: MatrixSeries, h: int, mode: CvThreshold) -> float:
     """Cross-validated threshold for the row-pair cross-covariances at lag h.
 
-    The split estimates are uncentered entry-pair second moments at lag h,
-    whose entries live on the same scale as the row-pair cross-covariance
-    entries the threshold is applied to.  These moments are sums over time
-    points and the two parts of a split partition the time points, so only
-    the second-part product is formed per split; the first-part sum is the
-    full-sample sum minus it.
+    The split estimates are split_pair_product of each part, the centred
+    row-pair cross-covariances that the threshold is applied to; see
+    _cv_level.
 
     Parameters
     ----------
@@ -241,16 +212,6 @@ def cv_threshold_pair(series: MatrixSeries, h: int, mode: CvThreshold) -> float:
     float
         Selected threshold, >= 0.
     """
-    n, p, q = series.n, series.p, series.q
-    h = _check_lag(h, n, "h")
-    _check_pair_size(p * q, "entry-pair moment matrix")
-    # transposed, the products keep split_pair_product's layout: entry
-    # [a, b] sums Y_t[a] * Y_{t+h}[b]
-    total = _lag_product(series.data, h, p * q).T
-    grid = threshold_grid(total / n, mode.grid_size)
-    risks = np.zeros(grid.size)
-    for first, second in split_indices(mode, n):
-        part = _lag_product(series.data, h, p * q, second).T
-        risks += _grid_risk((total - part) / first.size, part / second.size, grid)
-    risks /= mode.n_splits
-    return float(grid[int(np.argmin(risks))])
+    h = _check_lag(h, series.n, "h")
+    _check_pair_size(series.p * series.q, "row-pair covariance matrix")
+    return _cv_level(series, h, mode, series.p * series.q)

@@ -193,14 +193,18 @@ def brute_subspace_distance(h1: np.ndarray, h2: np.ndarray) -> float:
     return float(np.sqrt(max(radicand, 0.0)))
 
 
+def _brute_full_mean(data: np.ndarray) -> np.ndarray:
+    mean = np.zeros(data.shape[1:])
+    for t in range(data.shape[0]):
+        mean = mean + data[t]
+    return mean / data.shape[0]
+
+
 def brute_split_row_autocov(data: np.ndarray, indices: np.ndarray, k: int) -> np.ndarray:
-    """Subsample row autocovariance with out-of-range lead terms set to zero."""
+    """Subsample row autocovariance about the full-sample mean, out-of-range lead terms zero."""
     n, p, q = data.shape
     idx = [int(v) for v in indices]
-    mean = np.zeros((p, q))
-    for t in idx:
-        mean = mean + data[t]
-    mean = mean / len(idx)
+    mean = _brute_full_mean(data)
     out = np.zeros((q, q))
     for t in idx:
         if t + k > n - 1:
@@ -215,18 +219,22 @@ def brute_split_row_autocov(data: np.ndarray, indices: np.ndarray, k: int) -> np
 
 
 def brute_split_pair_product(data: np.ndarray, indices: np.ndarray, h: int) -> np.ndarray:
-    """Subsample uncentered entry-pair moments with out-of-range terms zero."""
+    """Subsample entry-pair covariances about the full-sample mean, out-of-range terms zero.
+
+    Entry [a, b] averages the lead entry a at t + h times the base entry b at t.
+    """
     n, p, q = data.shape
     idx = [int(v) for v in indices]
+    mean = _brute_full_mean(data).reshape(p * q)
     out = np.zeros((p * q, p * q))
     for t in idx:
         if t + h > n - 1:
             continue
-        base = data[t].reshape(p * q)
-        lead = data[t + h].reshape(p * q)
+        base = data[t].reshape(p * q) - mean
+        lead = data[t + h].reshape(p * q) - mean
         for a in range(p * q):
             for b in range(p * q):
-                out[a, b] += base[a] * lead[b]
+                out[a, b] += lead[a] * base[b]
     return out / len(idx)
 
 

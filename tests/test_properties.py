@@ -7,13 +7,15 @@ when that margin, recomputed from result.scores, exceeds 1e-6 relative.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from matseg import MatrixSeries, SegmentationConfig, segment
+from matseg import CvThreshold, MatrixSeries, SegmentationConfig, segment
 from matseg.linalg import subspace_distance
 
 CFG = SegmentationConfig()
+CV_CFG = SegmentationConfig(threshold=CvThreshold(n_splits=5))
 MIN_MARGIN = 1e-6
 
 shapes = st.tuples(
@@ -30,20 +32,28 @@ def _series(seed, n, p, q):
     return data
 
 
-def _ratio_margin(result) -> float:
-    """Relative lead of the chosen score ratio over the runner-up."""
+def _ratio_margin(result, cfg) -> float:
+    """Relative lead of the chosen score ratio over the runner-up under cfg.
+
+    A zero score (thresholding can zero every entry of a pair) is an
+    infinite ratio to ratio_select, which then cuts at the first zero
+    whatever rounding does to the positive scores.
+    """
     scores = np.array([s for _, _, s in result.scores])
-    j_count = int(np.ceil(CFG.c0 * scores.size)) - 1
-    ratios = np.sort(scores[:j_count] / scores[1 : j_count + 1])[::-1]
+    j_count = int(np.ceil(cfg.c0 * scores.size)) - 1
+    lag = scores[1 : j_count + 1]
+    if np.any(lag == 0.0):
+        return np.inf
+    ratios = np.sort(scores[:j_count] / lag)[::-1]
     if ratios.size < 2:
         return np.inf
     return (ratios[0] - ratios[1]) / ratios[0]
 
 
-def _segment_pair(data, other):
-    res = segment(MatrixSeries(data), CFG)
-    res_other = segment(MatrixSeries(other), CFG)
-    assume(min(_ratio_margin(res), _ratio_margin(res_other)) > MIN_MARGIN)
+def _segment_pair(data, other, cfg=CFG):
+    res = segment(MatrixSeries(data), cfg)
+    res_other = segment(MatrixSeries(other), cfg)
+    assume(min(_ratio_margin(res, cfg), _ratio_margin(res_other, cfg)) > MIN_MARGIN)
     return res, res_other
 
 
@@ -78,11 +88,13 @@ def test_column_permutation_carries_the_partition(shape, data):
         assert subspace_distance(block_perm, block[perm]) <= 1e-6
 
 
+@pytest.mark.parametrize("cfg", [CFG, CV_CFG], ids=["none", "cv"])
 @settings(derandomize=True, deadline=None)
 @given(shape=shapes, shift=st.floats(-1e2, 1e2))
-def test_groups_invariant_under_constant_shift(shape, shift):
-    # every estimator centres by the sample mean, so a constant added to
-    # every entry changes the scores only by rounding
+def test_groups_invariant_under_constant_shift(cfg, shape, shift):
+    # every estimator, cross-validation splits included, centres by the
+    # sample mean, so a constant added to every entry changes the scores
+    # only by rounding
     raw = _series(*shape)
-    res, res_shifted = _segment_pair(raw, raw + shift)
+    res, res_shifted = _segment_pair(raw, raw + shift, cfg)
     assert res_shifted.groups == res.groups

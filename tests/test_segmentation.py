@@ -16,13 +16,12 @@ from matseg import (
     segment,
 )
 from matseg import segmentation
-from matseg.estimators import pair_autocov_all, row_autocov, w_stat
+from matseg.estimators import hard_threshold, pair_autocov_all, row_autocov, w_stat
 from matseg.linalg import sym_eig
 from matseg.segmentation import (
     CvThreshold,
     _component_scales,
     _cv_plan,
-    _thresholded_pair_tensor,
     group_columns,
     lag_scores,
     ratio_select,
@@ -204,13 +203,12 @@ def test_pair_score_matrix_matches_brute_force():
 
 
 def _per_lag_tensors(series, m, v_per_lag):
-    # one pair_autocov_all call, and so one centring, per lag
-    return [
-        _thresholded_pair_tensor(
-            pair_autocov_all(series, h), None if v_per_lag is None else v_per_lag[h], h
-        )
-        for h in range(m + 1)
-    ]
+    # one pair_autocov_all call, and so one centring, per lag; returned
+    # beside the unthresholded lag-0 tensor behind the denominators
+    raw = [pair_autocov_all(series, h) for h in range(m + 1)]
+    if v_per_lag is None:
+        return raw, raw[0]
+    return [hard_threshold(t, v) for t, v in zip(raw, v_per_lag)], raw[0]
 
 
 def test_scoring_centres_once_bit_identical_to_per_lag_construction():
@@ -221,8 +219,8 @@ def test_scoring_centres_once_bit_identical_to_per_lag_construction():
     gamma, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     m = 5
     for v_per_lag in (None, [0.05] * (m + 1)):
-        tensors = _per_lag_tensors(std, m, v_per_lag)
-        scales = _component_scales(tensors[0], gamma)
+        tensors, lag0 = _per_lag_tensors(std, m, v_per_lag)
+        scales = _component_scales(lag0, gamma)
         denom = np.einsum("ki,lj->klij", scales, scales)
         best = np.zeros((4, 4))
         for h in range(m + 1):
@@ -239,7 +237,7 @@ def test_scoring_centres_once_bit_identical_to_per_lag_construction():
         # at every lag each score is a symmetrised peak of the per-lag tensor
         eye = np.eye(4)
         scores = lag_scores(std, eye, m, v_per_lag)
-        scale = _component_scales(tensors[0], eye)
+        scale = _component_scales(lag0, eye)
         denom = np.einsum("ki,lj->klij", scale, scale)
         for h in range(m + 1):
             corr = np.abs(tensors[h] / denom).max(axis=(0, 1))
@@ -248,8 +246,8 @@ def test_scoring_centres_once_bit_identical_to_per_lag_construction():
         # the rows-as-components construction on the transposed data agrees
         # to rounding: its lag-0 product is formed in the other orientation
         transposed = MatrixSeries(np.swapaxes(data, 1, 2))
-        tensors = _per_lag_tensors(transposed, m, v_per_lag)
-        scale = np.sqrt(tensors[0][np.arange(4), np.arange(4)][:, np.arange(3), np.arange(3)])
+        tensors, lag0 = _per_lag_tensors(transposed, m, v_per_lag)
+        scale = np.sqrt(lag0[np.arange(4), np.arange(4)][:, np.arange(3), np.arange(3)])
         for h in range(m + 1):
             peak = np.abs(tensors[h] / np.einsum("ia,jb->ijab", scale, scale)).max(axis=(2, 3))
             assert np.max(np.abs(np.maximum(peak, peak.T) - scores[h])) <= 1e-12
@@ -334,23 +332,12 @@ def test_cv_autocov_levels_invariant_under_constant_shift():
     assert np.allclose(shifted, base, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="cv_threshold_pair risks uncentred second moments, while lag_scores "
-    "thresholds centred covariances: a constant shift of 5.0 moves the v levels "
-    "of this series from 0.07-0.30 to 0",
-)
 def test_cv_pair_levels_invariant_under_constant_shift():
+    # the row-pair split estimates are centred by the full-sample mean too
     base, shifted = _cv_levels_with_and_without_shift(1)
     assert np.allclose(shifted, base, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=DegenerateVariance,
-    reason="hard-thresholding the lag-0 diagonal block S_11(0) off its diagonal "
-    "leaves it indefinite, so a transformed component gets a negative variance",
-)
 def test_cv_segment_of_valid_example_1_series():
     # the series of `matseg simulate --example 1 --n 300 --seed 11`
     series, _ = gen_example(1, 300, np.random.default_rng((11, 1, 300)))
@@ -603,3 +590,6 @@ def test_config_validation():
             SegmentationConfig(ratio_shift=shift)
     with pytest.raises(InvalidInput):
         FixedThreshold(u=-0.5, v=0.1)
+    # a threshold spec string is not a mode
+    with pytest.raises(InvalidInput, match="threshold mode"):
+        SegmentationConfig(threshold="cv:5")

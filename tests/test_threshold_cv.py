@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from matseg import InvalidInput, MatrixSeries, ResourceLimit
-from matseg.estimators import _center, _lag_product, hard_threshold, row_autocov
+from matseg.estimators import hard_threshold, row_autocov
 from matseg.threshold_cv import (
     MIN_CV_LENGTH,
     CvThreshold,
     _grid_risk,
-    _split_row_autocovs,
     cv_threshold_autocov,
     cv_threshold_pair,
     split_indices,
@@ -189,28 +188,6 @@ def test_grid_risk_matches_searchsorted_bins_exactly():
     second = rng.standard_normal(600)
     grid = np.linspace(0.0, 1.0, 300)
     assert np.array_equal(_grid_risk(first, second, grid), _searchsorted_risk(first, second, grid))
-
-
-def test_split_row_autocovs_match_split_row_autocov():
-    rng = np.random.default_rng(63)
-    n = 20
-    plan = CvThreshold(n_splits=8, grid_size=6, seed=4)
-    splits = split_indices(plan, n)
-    # at lag n - 2 only t = 0, 1 are valid and at lag n - 1 only t = 0: some
-    # split leaves the second part without a valid term, and some the first
-    assert any(second[0] > 1 for _, second in splits)
-    assert any(second[0] == 0 for _, second in splits)
-    for offset, bound in [(0.0, 1e-12), (1e6, 1e-8)]:
-        series = MatrixSeries(rng.standard_normal((n, 2, 3)) + offset)
-        scale = np.abs(row_autocov(series, 0)).max()
-        centered = _center(series.data)
-        for k in (0, 1, n - 2, n - 1):
-            total = _lag_product(centered, k, 3)
-            got = list(_split_row_autocovs(centered, k, total, splits))
-            assert len(got) == len(splits)
-            for (a, b), (first, second) in zip(got, splits):
-                assert np.max(np.abs(a - split_row_autocov(series, first, k))) <= bound * scale
-                assert np.max(np.abs(b - split_row_autocov(series, second, k))) <= bound * scale
 
 
 def test_cv_threshold_autocov_zero_series_returns_zero():
