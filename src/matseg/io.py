@@ -8,6 +8,7 @@ written file reproduces the array bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -100,7 +101,7 @@ def read_series(path) -> MatrixSeries | TensorSeries:
         dims = tuple(values[2:])
         if order < 2 or len(dims) != order or any(d < 1 for d in dims) or n < 2:
             raise ParseError(2, f"bad dimensions {lines[1]!r}")
-    width = int(np.prod(dims))
+    width = math.prod(dims)
     payload = [(lineno, line) for lineno, line in enumerate(lines[2:], start=3) if line]
     if len(payload) != n:
         raise ParseError(3, f"expected {n} data lines, found {len(payload)}")

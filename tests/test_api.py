@@ -1,8 +1,12 @@
-"""The package's public names and the functions the benchmark tracer wraps."""
+"""The package's public names, the functions the benchmark tracer wraps, and numpy as its
+only runtime dependency."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import matseg
@@ -33,7 +37,38 @@ ERRORS = {
     "ResourceLimit",
 }
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
+
+# every entry point once, on small inputs, in a fresh interpreter
+NO_SCIPY_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    import numpy as np
+    from matseg import (
+        CvThreshold, SegmentationConfig, TensorSeries, gen_example, segment,
+        sequential_segment,
+    )
+    from matseg.cli import main
+    from matseg.simulation import run_experiment
+
+    series, _ = gen_example(1, 200, np.random.default_rng(0))
+    segment(series)
+    segment(series, SegmentationConfig(threshold=CvThreshold(n_splits=3)))
+    sequential_segment(TensorSeries(np.random.default_rng(1).standard_normal((60, 2, 3, 2))))
+    run_experiment(1, [60], 2, threads=1)
+    for argv in (
+        ["simulate", "--example", "1", "--n", "100", "--out", "s.txt"],
+        ["segment", "s.txt", "--out", "s.json"],
+        ["correlogram", "s.txt", "--out", "c.csv", "--gamma", "s.json"],
+        ["replicate", "--example", "1", "--n", "60", "--reps", "2", "--threads", "1",
+         "--out", "r.csv"],
+    ):
+        assert main(argv) == 0, argv
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    assert not loaded, loaded[:5]
+    """
+)
 
 
 def test_exports_are_the_documented_names():
@@ -59,3 +94,16 @@ def test_traced_functions_resolve_on_their_modules():
         mod = importlib.import_module(f"matseg.{module}")
         for func in funcs:
             assert callable(getattr(mod, func, None)), f"matseg.{module}.{func}"
+
+
+def test_no_scipy_is_loaded_at_run_time(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr

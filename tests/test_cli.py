@@ -320,6 +320,16 @@ def test_data_errors_exit_3_with_error_record(tmp_path, capsys):
     assert record["error"] == "ParseError"
     assert record["line"] == 4
 
+    # a width that wraps in int64 is still read exactly
+    wrapping = tmp_path / "wrapping.txt"
+    wrapping.write_text("matseg,matrix,1\n2,7,7905747460161236407\n1.0\n2.0\n")
+    wrapping_out = tmp_path / "wrapping.json"
+    assert _run(["segment", wrapping, "--out", wrapping_out]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "ParseError"
+    assert not wrapping_out.exists()
+
     series_path = tmp_path / "s.txt"
     data = np.random.default_rng(5).standard_normal((40, 2, 3))
     mio.write_series(series_path, MatrixSeries(data))

@@ -148,6 +148,12 @@ def test_read_series_parse_errors(tmp_path):
         io.read_series(_write(path, "matseg,matrix,1\n3,1,2\n1.0,2.0\n3.0,4.0\n"))
     assert exc.value.line == 3
 
+    # 7 * 7905747460161236407 wraps to 1 in int64; the exact width is 3 * 2**64 + 1
+    with pytest.raises(ParseError) as exc:
+        io.read_series(_write(path, "matseg,matrix,1\n2,7,7905747460161236407\n1.0\n2.0\n"))
+    assert exc.value.line == 3
+    assert "expected 55340232221128654849 values" in exc.value.reason
+
     with pytest.raises(ParseError) as exc:
         io.read_series(_write(path, "matseg,tensor,1\n4,1,3\n"))
     assert exc.value.line == 2

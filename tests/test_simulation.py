@@ -217,6 +217,17 @@ def test_mean_subspace_error_pairs_blocks_optimally():
     swapped = [np.array([[0.0], [1.0]]), np.array([[1.0], [0.0]])]
     assert mean_subspace_error(swapped, truth, np.eye(2)) <= 1e-12
 
+    # three one-column blocks: matching each estimate to its nearest truth in
+    # turn costs 0.7667; the best of the 3! orderings costs less
+    truth = GroundTruth(example=1, a=np.eye(3), partition=[[1], [2], [3]])
+    blocks = [
+        np.array([[0.8], [0.6], [0.0]]),
+        np.array([[0.9], [0.0], [np.sqrt(0.19)]]),
+        np.array([[0.0], [0.6], [0.8]]),
+    ]
+    expected = (1.4 + np.sqrt(0.19)) / 3
+    assert abs(mean_subspace_error(blocks, truth, np.eye(3)) - expected) <= 1e-12
+
 
 def test_mean_subspace_error_known_value():
     truth = GroundTruth(example=1, a=np.eye(2), partition=[[1], [2]])
