@@ -3,13 +3,21 @@
 Series files are comma-separated with a magic first line; floats are
 written with Python's shortest round-trip representation, so reading a
 written file reproduces the array bit for bit.
+
+Every reader takes UTF-8 text whose lines end in LF, CRLF or CR, and
+parses floats with numpy's text parser, so all of them accept one float
+grammar. A series reader parses the data lines in one numpy pass streamed
+from the open file, without a copy of its text; only a file that pass
+refuses is read again line by line, to name the first line at fault.
+Bytes that are not UTF-8 end in a ParseError at their line.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
+import warnings
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -32,14 +40,29 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _load_table(lines) -> np.ndarray:
+    """Comma-separated float lines, from an open file or a list, as a 2-d array.
+
+    numpy skips empty lines, so callers check the shape.
+    """
+    with warnings.catch_warnings():
+        # a table with no rows fails the caller's shape check
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+
+
 def _parse_floats(token_line: str, lineno: int, expected: int) -> np.ndarray:
-    parts = token_line.split(",")
-    if len(parts) != expected:
-        raise ParseError(lineno, f"expected {expected} values, found {len(parts)}")
+    found = token_line.count(",") + 1
+    if found != expected:
+        raise ParseError(lineno, f"expected {expected} values, found {found}")
     try:
-        return np.array([float(tok) for tok in parts])
+        table = _load_table([token_line])
     except ValueError as exc:
-        raise ParseError(lineno, f"bad float: {exc}") from exc
+        # numpy counts rows of its own input; the line number is the row here
+        raise ParseError(lineno, f"bad float: {str(exc).partition(' at row ')[0]}") from exc
+    if table.shape != (1, expected):
+        raise ParseError(lineno, "bad float: no value")
+    return table[0]
 
 
 def _parse_ints(tokens: list[str], lineno: int) -> list[int]:
@@ -49,68 +72,108 @@ def _parse_ints(tokens: list[str], lineno: int) -> list[int]:
         raise ParseError(lineno, f"bad integer: {exc}") from exc
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of a text file, without their ends.
+
+    A line holding bytes that are not UTF-8 ends in a ParseError at that line.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        lines = handle.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(lineno, "bytes that are not UTF-8 text") from None
+    return lines
+
+
 def write_series(path, series: MatrixSeries | TensorSeries) -> None:
     """Write a matrix or tensor series file."""
-    lines = []
     if isinstance(series, MatrixSeries):
-        lines.append(f"{MAGIC_PREFIX},matrix,{FORMAT_VERSION}")
-        lines.append(f"{series.n},{series.p},{series.q}")
-        flat = series.data.reshape(series.n, series.p * series.q)
+        header = f"{MAGIC_PREFIX},matrix,{FORMAT_VERSION}\n{series.n},{series.p},{series.q}\n"
+        flat = series.data.reshape(series.n, -1)
     elif isinstance(series, TensorSeries):
-        lines.append(f"{MAGIC_PREFIX},tensor,{FORMAT_VERSION}")
         dims = ",".join(str(d) for d in series.dims)
-        lines.append(f"{series.n},{series.order},{dims}")
+        header = f"{MAGIC_PREFIX},tensor,{FORMAT_VERSION}\n{series.n},{series.order},{dims}\n"
         # each tensor flattens mode-major (index 1 fastest) independently of
         # the leading time axis
-        flat = np.stack([series.data[t].ravel(order="F") for t in range(series.n)])
+        flat = series.data.transpose(0, *range(series.order, 0, -1)).reshape(series.n, -1)
     else:
         raise InvalidInput(f"cannot write object of type {type(series).__name__}")
-    for t in range(series.n):
-        lines.append(",".join(_fmt(v) for v in flat[t]))
     with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(header)
+        for row in flat.tolist():
+            handle.write(",".join(map(_fmt, row)) + "\n")
 
 
-def read_series(path) -> MatrixSeries | TensorSeries:
-    """Read a series file, dispatching on the magic line."""
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    if not lines:
+def _series_header(head: list[str]) -> tuple[str, int, tuple[int, ...]]:
+    """(kind, n, dims) from the first two lines of a series file, or as many as it has."""
+    if not head:
         raise ParseError(1, "empty file")
-    magic = lines[0].split(",")
+    magic = head[0].split(",")
     if len(magic) != 3 or magic[0] != MAGIC_PREFIX or magic[1] not in ("matrix", "tensor"):
-        raise ParseError(1, f"unrecognized header {lines[0]!r}")
+        raise ParseError(1, f"unrecognized header {head[0]!r}")
     if magic[2] != str(FORMAT_VERSION):
         raise ParseError(1, f"unsupported format version {magic[2]!r}")
-    if len(lines) < 2:
+    if len(head) < 2:
         raise ParseError(2, "missing dimension line")
     kind = magic[1]
-    header = lines[1].split(",")
+    header = head[1].split(",")
     if kind == "matrix":
         if len(header) != 3:
-            raise ParseError(2, f"expected n,p,q, found {lines[1]!r}")
+            raise ParseError(2, f"expected n,p,q, found {head[1]!r}")
         n, p, q = _parse_ints(header, 2)
         if n < 2 or p < 1 or q < 1:
             raise ParseError(2, f"bad dimensions n={n}, p={p}, q={q}")
-        dims: tuple[int, ...] = (p, q)
-    else:
-        if len(header) < 4:
-            raise ParseError(2, f"expected n,r,p1,...,pr, found {lines[1]!r}")
-        values = _parse_ints(header, 2)
-        n, order = values[0], values[1]
-        dims = tuple(values[2:])
-        if order < 2 or len(dims) != order or any(d < 1 for d in dims) or n < 2:
-            raise ParseError(2, f"bad dimensions {lines[1]!r}")
+        return kind, n, (p, q)
+    if len(header) < 4:
+        raise ParseError(2, f"expected n,r,p1,...,pr, found {head[1]!r}")
+    values = _parse_ints(header, 2)
+    n, order = values[0], values[1]
+    dims = tuple(values[2:])
+    if order < 2 or len(dims) != order or any(d < 1 for d in dims) or n < 2:
+        raise ParseError(2, f"bad dimensions {head[1]!r}")
+    return kind, n, dims
+
+
+def _raise_series_fault(path) -> NoReturn:
+    """Find, line by line, the first fault of a series file the streamed parse refused."""
+    lines = _read_lines(path)
+    _, n, dims = _series_header(lines[:2])
     width = math.prod(dims)
     payload = [(lineno, line) for lineno, line in enumerate(lines[2:], start=3) if line]
     if len(payload) != n:
         raise ParseError(3, f"expected {n} data lines, found {len(payload)}")
-    rows = [_parse_floats(line, lineno, width) for lineno, line in payload]
-    stacked = np.stack(rows)
+    for lineno, line in payload:
+        _parse_floats(line, lineno, width)
+    raise ParseError(3, f"data lines do not form {n} rows of {width} values")
+
+
+def read_series(path) -> MatrixSeries | TensorSeries:
+    """Read a series file, dispatching on the magic line.
+
+    The data lines are parsed in one numpy pass streamed from the open
+    file. A file that pass refuses is read again line by line, and the
+    ParseError names the first line at fault.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = (handle.readline(), handle.readline())
+            head = [line.removesuffix("\n") for line in lines if line]
+            kind, n, dims = _series_header(head)
+            table = _load_table(handle)
+    except ValueError:  # a bad header or float, or bytes that are not UTF-8
+        _raise_series_fault(path)
+    if table.shape != (n, math.prod(dims)):
+        _raise_series_fault(path)
     if kind == "matrix":
-        return MatrixSeries(stacked.reshape(n, *dims))
-    data = np.stack([row.reshape(dims, order="F") for row in stacked])
-    return TensorSeries(data)
+        return MatrixSeries(table.reshape(n, *dims))
+    # undo the first-index-fastest flattening of every tensor at once
+    folded = table.reshape(n, *dims[::-1]).transpose(0, *range(len(dims), 0, -1))
+    return TensorSeries(np.ascontiguousarray(folded))
 
 
 def write_truth(path, truth: GroundTruth) -> None:
@@ -127,8 +190,7 @@ def write_truth(path, truth: GroundTruth) -> None:
 
 def read_truth(path) -> GroundTruth:
     """Read a truth sidecar file."""
-    with open(path) as handle:
-        lines = handle.read().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0] != f"{MAGIC_PREFIX},truth,{FORMAT_VERSION}":
         raise ParseError(1, "not a truth file")
     header = _parse_ints(lines[1].split(","), 2) if len(lines) > 1 else []
@@ -248,11 +310,10 @@ def write_result(path, doc: dict[str, Any]) -> None:
 
 
 def read_result(path) -> dict[str, Any]:
-    with open(path) as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.lineno, f"bad result document: {exc.msg}") from exc
+    try:
+        doc = json.loads("\n".join(_read_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, f"bad result document: {exc.msg}") from exc
     if not isinstance(doc, dict) or doc.get("format") != f"{MAGIC_PREFIX}-result":
         raise ParseError(1, "not a result document")
     return doc
@@ -269,8 +330,7 @@ def write_correlogram_csv(path, rows) -> None:
 
 def read_correlogram_csv(path) -> list[tuple[int, int, int, float]]:
     """Read (i, j, h, max_abs_corr) records back from a correlogram file."""
-    with open(path) as handle:
-        lines = handle.read().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0] != "i,j,h,max_abs_corr":
         raise ParseError(1, "not a correlogram file")
     rows = []
@@ -311,8 +371,7 @@ def write_report_csv(path, report: ExperimentReport) -> None:
 
 def read_report_csv(path) -> list[tuple[int, int, int, float, float, float, float]]:
     """Read aggregate (example, n, reps, proportions, median) lines back."""
-    with open(path) as handle:
-        lines = handle.read().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0] != REPORT_HEADER:
         raise ParseError(1, "not a report file")
     rows = []

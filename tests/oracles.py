@@ -268,3 +268,29 @@ def brute_matricize(tensor: np.ndarray, mode: int) -> np.ndarray:
             index[mode - 1] = a
             out[a, flat] = tensor[tuple(index)]
     return out
+
+
+def brute_read_series(path) -> np.ndarray:
+    """The (n, *dims) array of a valid series file, each token parsed by float().
+
+    Matrix rows are read row-major, tensor rows first index fastest, one
+    entry at a time.
+    """
+    with open(path) as handle:
+        lines = handle.read().splitlines()
+    kind = lines[0].split(",")[1]
+    header = [int(tok) for tok in lines[1].split(",")]
+    n = header[0]
+    dims = header[1:] if kind == "matrix" else header[2:]
+    rows = [[float(tok) for tok in line.split(",")] for line in lines[2:] if line]
+    out = np.zeros([n, *dims])
+    for t, row in enumerate(rows):
+        for flat, value in enumerate(row):
+            index = [0] * len(dims)
+            remainder = flat
+            axes = range(len(dims) - 1, -1, -1) if kind == "matrix" else range(len(dims))
+            for d in axes:
+                index[d] = remainder % dims[d]
+                remainder //= dims[d]
+            out[(t, *index)] = value
+    return out

@@ -361,6 +361,54 @@ def test_data_errors_exit_3_with_error_record(tmp_path, capsys):
         assert not out_path.exists()
 
 
+def _one_error_record(capsys) -> dict:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
+
+
+def test_undecodable_bytes_exit_3_with_one_error_record(tmp_path, capsys):
+    series_path = tmp_path / "s.txt"
+    data = np.random.default_rng(6).standard_normal((40, 2, 3))
+    mio.write_series(series_path, MatrixSeries(data))
+    result_path = tmp_path / "s.json"
+    assert _run(["segment", series_path, "--out", result_path]) == 0
+
+    bad_series = tmp_path / "bad.txt"
+    raw = series_path.read_bytes().splitlines(keepends=True)
+    raw[6] = b"\xff" + raw[6]
+    bad_series.write_bytes(b"".join(raw))
+    document = result_path.read_bytes()
+    kind_line = document[: document.index(b'"kind"')].count(b"\n") + 1
+    bad_result = tmp_path / "bad.json"
+    bad_result.write_bytes(document.replace(b'"kind"', b'"k\xffind"', 1))
+    out = tmp_path / "out"
+    commands = [
+        (["segment", bad_series, "--out", out], 7),
+        (["correlogram", bad_series, "--out", out], 7),
+        (["correlogram", series_path, "--out", out, "--gamma", bad_result], kind_line),
+    ]
+    for argv, line in commands:
+        assert _run(argv) == 3
+        record = _one_error_record(capsys)
+        assert (record["error"], record["line"]) == ("ParseError", line)
+        assert not out.exists()
+
+
+def test_empty_payload_gives_one_error_record_and_no_warning(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("matseg,matrix,1\n2,1,2\n")
+    out = tmp_path / "r.json"
+    for argv in (["segment", empty, "--out", out], ["correlogram", empty, "--out", out]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run(argv) == 3
+        record = _one_error_record(capsys)
+        assert (record["error"], record["line"]) == ("ParseError", 3)
+        assert record["reason"] == "expected 2 data lines, found 0"
+        assert not out.exists()
+
+
 def test_overflow_gives_one_error_record_and_no_warning(tmp_path, capsys):
     # sums of squares of a series scaled by 1e200 overflow in the estimators
     huge_path = tmp_path / "huge.txt"

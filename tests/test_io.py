@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from matseg import io
+from matseg.cli import main
 from matseg.errors import InvalidInput, ParseError
 from matseg.segmentation import (
     CvThreshold,
@@ -22,6 +23,7 @@ from matseg.simulation import (
     gen_example,
 )
 from matseg.tensor import sequential_segment
+from oracles import brute_read_series
 
 
 def test_matrix_series_file_layout(tmp_path):
@@ -161,6 +163,92 @@ def test_read_series_parse_errors(tmp_path):
     with pytest.raises(ParseError) as exc:
         io.read_series(_write(path, "matseg,tensor,1\n4,3\n"))
     assert exc.value.line == 2
+
+
+def test_read_series_parse_errors_name_the_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    cases = [
+        # a line of whitespace only is a data line, and not a float
+        ("matseg,matrix,1\n3,1,2\n1.0,2.0\n   \n3.0,4.0\n", 4, "expected 2 values, found 1"),
+        ("matseg,matrix,1\n3,1,1\n1.0\n \t\n3.0\n", 4, "bad float"),
+        ("matseg,matrix,1\n2,1,2\n1.0,2.0\n3.0,4.0,\n", 4, "expected 2 values, found 3"),
+        ("matseg,matrix,1\n2,1,3\n1.0,2.0,\n3.0,4.0,5.0\n", 3, "bad float"),
+        ("matseg,matrix,1\n3,1,2\n1.0,2.0\n3.0,4.0\n5.0,6.O\n", 5, "bad float"),
+        (
+            "matseg,matrix,1\n2,1,2\n1.0,2.0\n3.0,4.0\n5.0,6.0\n",
+            3,
+            "expected 2 data lines, found 3",
+        ),
+        # digit-group underscores, which float() accepts, are refused
+        ("matseg,matrix,1\n2,1,2\n1.0,2.0\n3.0,1_0\n", 4, "bad float"),
+        ("matseg,tensor,1\n2,2,1,2\n1.0,2.0\n3.0,x\n", 4, "bad float"),
+    ]
+    for text, line, reason in cases:
+        with pytest.raises(ParseError) as exc:
+            io.read_series(_write(path, text))
+        assert exc.value.line == line, text
+        assert reason in exc.value.reason, text
+
+
+def test_read_series_crlf_and_cr_line_ends_are_bit_identical(tmp_path):
+    rng = np.random.default_rng((900, 99))
+    lf = tmp_path / "lf.txt"
+    other = tmp_path / "other.txt"
+    for series in (
+        MatrixSeries(rng.standard_normal((9, 3, 4))),
+        TensorSeries(rng.standard_normal((7, 2, 3, 2))),
+    ):
+        io.write_series(lf, series)
+        for ending in (b"\r\n", b"\r"):
+            other.write_bytes(lf.read_bytes().replace(b"\n", ending))
+            assert io.read_series(other).data.tobytes() == series.data.tobytes()
+
+
+def test_read_series_matches_per_token_oracle(tmp_path):
+    paths = []
+    for example in (1, 2, 3):
+        path = tmp_path / f"ex{example}.txt"
+        assert main(["simulate", "--example", str(example), "--n", "300", "--out", str(path)]) == 0
+        paths.append(path)
+    tensor = tmp_path / "tensor.txt"
+    data = np.random.default_rng((900, 98)).standard_normal((50, 3, 4, 5))
+    io.write_series(tensor, TensorSeries(data))
+    paths.append(tensor)
+    for path in paths:
+        expected = brute_read_series(path)
+        got = io.read_series(path).data
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_extreme_doubles_round_trip(tmp_path):
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308,
+              1.7976931348623157e308, -1e308, 1e23, 0.1, -0.1, 1 / 3]
+    data = np.array(values).reshape(len(values), 1, 1)
+    path = tmp_path / "extreme.txt"
+    io.write_series(path, MatrixSeries(data))
+    back = io.read_series(path).data
+    assert back.tobytes() == data.tobytes()
+    assert list(np.signbit(back.ravel())) == [math.copysign(1, v) < 0 for v in values]
+    assert brute_read_series(path).tobytes() == data.tobytes()
+
+
+def test_undecodable_bytes_are_parse_errors(tmp_path):
+    path = tmp_path / "bad"
+    cases = [
+        (io.read_series, b"matseg,matrix,1\n2,1,2\n1.0,2.0\n3.0,4.0\xff\n", 4),
+        (io.read_series, b"matseg,matrix\xff,1\n2,1,2\n1.0,2.0\n3.0,4.0\n", 1),
+        (io.read_truth, b"matseg,truth,1\n1,1,1\ngroup,1\na,1.0\xff\n", 4),
+        (io.read_result, b'{"format": "matseg-result",\n"kind": "\xff"}\n', 2),
+        (io.read_correlogram_csv, b"i,j,h,max_abs_corr\n1,1,0,1.0\n1,2,0,0.5\xfe\n", 3),
+        (io.read_report_csv, io.REPORT_HEADER.encode() + b"\n1,100,8,0.5,0.5,0.0,0.1\xff\n", 2),
+    ]
+    for reader, raw, line in cases:
+        path.write_bytes(raw)
+        with pytest.raises(ParseError) as exc:
+            reader(path)
+        assert exc.value.line == line, raw
+        assert "UTF-8" in exc.value.reason
 
 
 def test_truth_round_trip(tmp_path):
