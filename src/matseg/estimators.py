@@ -45,8 +45,8 @@ def _center(data: np.ndarray) -> np.ndarray:
 
     The buffer is C-ordered even when data is a strided view (as every
     tensor mode is), so the reshapes in _lag_product are views.  Every
-    estimator centres here except the references pair_autocov,
-    split_row_autocov and split_pair_product.
+    estimator centres here except the references split_row_autocov and
+    split_pair_product.
     """
     return np.subtract(data, data.mean(axis=0), out=np.empty(data.shape))
 
@@ -69,40 +69,12 @@ def _lag_product(x: np.ndarray, k: int, width: int, t=None) -> np.ndarray:
     return lead.reshape(-1, width).T @ base.reshape(-1, width)
 
 
-def pair_autocov(series: MatrixSeries, i: int, j: int, h: int) -> np.ndarray:
-    """Sample cross-covariance between matrix rows i and j at lag h.
-
-    Returns (1 / n) * sum_t (y_i^{t+h} - ybar_i)' (y_j^t - ybar_j) with
-    rows treated as 1 x q vectors, full-sample row means, and the sum over
-    t = 1..n-h.  Row indices are 1-based.
-
-    Parameters
-    ----------
-    series : MatrixSeries
-        Observed series of p x q matrices.
-    i, j : int
-        Row indices in 1..p.
-    h : int
-        Lag, 0 <= h <= n - 1.
-
-    Returns
-    -------
-    ndarray, shape (q, q)
-    """
-    n, p, _ = series.n, series.p, series.q
-    if not (1 <= i <= p and 1 <= j <= p):
-        raise InvalidInput(f"row indices must lie in 1..{p}, got ({i}, {j})")
-    h = _check_lag(h, n, "h")
-    centered = series.data - series.data.mean(axis=0)
-    lead = centered[h:, i - 1, :]
-    base = centered[: n - h, j - 1, :]
-    return (lead.T @ base) / n
-
-
 def pair_autocov_all(series: MatrixSeries, h: int) -> np.ndarray:
-    """All row-pair cross-covariances at lag h in one array.
+    """All row-pair sample cross-covariances at lag h in one array.
 
-    Entry [i-1, j-1] is pair_autocov(series, i, j, h).
+    Entry [i-1, j-1] is (1 / n) * sum_t (y_i^{t+h} - ybar_i)' (y_j^t - ybar_j)
+    for 1-based rows i and j, treated as 1 x q vectors, with full-sample
+    row means and the sum over t = 1..n-h.
 
     Returns
     -------
@@ -195,40 +167,3 @@ def w_stat(series: MatrixSeries, k0: int, u_per_lag=None) -> np.ndarray:
         acc += cov @ cov.T
     return 0.5 * (acc + acc.T)
 
-
-def w_stat_rowpair(series: MatrixSeries, k0: int, v_per_lag=None) -> np.ndarray:
-    """Row-pair variant of the accumulated lag-covariance statistic.
-
-    Returns (1 / p^2) * sum_{k=0..k0} sum_{i,j} T_v(S_ij(k)) @ T_v(S_ij(k))'
-    where S_ij(k) is the row-pair cross-covariance at lag k.
-
-    Parameters
-    ----------
-    series : MatrixSeries
-        Observed or standardized series.
-    k0 : int
-        Largest lag, 1 <= k0 <= n - 2.
-    v_per_lag : sequence of float or None
-        Per-lag thresholds (entry k applies to lag k, including lag 0);
-        None disables thresholding.
-
-    Returns
-    -------
-    ndarray, shape (q, q)
-        Symmetric positive semi-definite matrix.
-    """
-    n, p, q = series.n, series.p, series.q
-    if not 1 <= k0 <= n - 2:
-        raise InvalidInput(f"k0 must satisfy 1 <= k0 <= n - 2, got {k0} with n = {n}")
-    if v_per_lag is not None and len(v_per_lag) != k0 + 1:
-        raise InvalidInput(f"v_per_lag must have length {k0 + 1}, got {len(v_per_lag)}")
-    centered = _center(series.data)
-    acc = np.zeros((q, q))
-    for k in range(0, k0 + 1):
-        tensor = _pair_lag_products(centered, k)
-        if v_per_lag is not None:
-            tensor = hard_threshold(tensor, v_per_lag[k])
-        flat = tensor.reshape(p * p, q, q)
-        acc += np.einsum("mab,mcb->ac", flat, flat)
-    acc /= p * p
-    return 0.5 * (acc + acc.T)

@@ -66,6 +66,10 @@ def _parse_floats(token_line: str, lineno: int, expected: int) -> np.ndarray:
 
 
 def _parse_ints(tokens: list[str], lineno: int) -> list[int]:
+    """Base-10 integers in ASCII; int() would also take other digits and `_` groups."""
+    for tok in tokens:
+        if not tok.isascii() or "_" in tok:
+            raise ParseError(lineno, f"bad integer: {tok!r}")
     try:
         return [int(tok) for tok in tokens]
     except ValueError as exc:
@@ -361,7 +365,8 @@ def write_report_csv(path, report: ExperimentReport) -> None:
                     _fmt(row.correct_prop),
                     _fmt(row.incorrect_prop),
                     _fmt(row.near_complete_prop),
-                    _fmt(row.d_bar_median),
+                    # no correct run, no median: an empty field, never nan
+                    "" if math.isnan(row.d_bar_median) else _fmt(row.d_bar_median),
                 ]
             )
         )
@@ -370,7 +375,7 @@ def write_report_csv(path, report: ExperimentReport) -> None:
 
 
 def read_report_csv(path) -> list[tuple[int, int, int, float, float, float, float]]:
-    """Read aggregate (example, n, reps, proportions, median) lines back."""
+    """Read the aggregate lines back; an empty median (no correct run) reads as NaN."""
     lines = _read_lines(path)
     if not lines or lines[0] != REPORT_HEADER:
         raise ParseError(1, "not a report file")
@@ -382,6 +387,7 @@ def read_report_csv(path) -> list[tuple[int, int, int, float, float, float, floa
         if len(parts) != 7:
             raise ParseError(lineno, f"expected 7 values, found {len(parts)}")
         example, n, reps = _parse_ints(parts[:3], lineno)
-        values = [float(_parse_floats(tok, lineno, 1)[0]) for tok in parts[3:]]
-        rows.append((example, n, reps, *values))
+        values = [float(_parse_floats(tok, lineno, 1)[0]) for tok in parts[3:6]]
+        median = math.nan if parts[6] == "" else float(_parse_floats(parts[6], lineno, 1)[0])
+        rows.append((example, n, reps, *values, median))
     return rows

@@ -150,7 +150,7 @@ def standardize(
         Raw observed series.
     u0 : float or None
         Threshold level for the lag-0 covariance, as resolved by
-        :func:`threshold_levels`; None leaves it raw.
+        :func:`_definite_level`; None leaves it raw.
     eps : float
         Relative eigenvalue floor for the inverse square root.
 
@@ -175,6 +175,34 @@ def standardize(
         cov0 = hard_threshold(cov0, u0, keep_diagonal=True)
     standardizer = inv_sqrt_psd(cov0, eps)
     return MatrixSeries(series.data @ standardizer), standardizer
+
+
+def _definite_level(cov0: np.ndarray, u0: float, eps: float) -> float:
+    """u0, raised if need be so cov0 thresholded there (diagonal kept) is positive definite.
+
+    An indefinite matrix would have inv_sqrt_psd floor its negative
+    eigenvalue and blow the standardized series up along it.  Positive
+    definite means lambda_min > eps * lambda_max.  If u0 fails, the
+    candidates are the levels just above each off-diagonal magnitude >= u0,
+    and the level is the smallest one from which every higher one passes
+    (after Fan, Liao and Mincheva, 2013); the top candidate keeps only the
+    diagonal.  A non-finite cov0 keeps u0, for standardize to refuse.
+    """
+    if not np.all(np.isfinite(cov0)):
+        return u0
+    off = np.abs(cov0[~np.eye(cov0.shape[0], dtype=bool)])
+    candidates = np.nextafter(np.unique(off[off >= u0]), np.inf)
+
+    def definite(level):
+        vals = np.linalg.eigvalsh(hard_threshold(cov0, level, keep_diagonal=True))
+        return vals[0] > eps * vals[-1]
+
+    if not candidates.size or definite(u0):
+        return u0
+    k = candidates.size - 1
+    while k and definite(candidates[k - 1]):
+        k -= 1
+    return float(candidates[k])
 
 
 def _component_scales(tensor0: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -429,7 +457,7 @@ def _maps(series: MatrixSeries, cfg: SegmentationConfig) -> tuple[_Maps, MatrixS
         standardized, standardizer = standardize(series, None, cfg.eps)
         return _Maps(standardizer, np.eye(1)), standardized
     lag0 = threshold_levels(cfg.threshold, series, 0, [0])
-    u_lag0 = None if lag0 is None else lag0[0]
+    u_lag0 = None if lag0 is None else _definite_level(row_autocov(series, 0), lag0[0], cfg.eps)
     standardized, standardizer = standardize(series, u_lag0, cfg.eps)
     u_per_lag = threshold_levels(cfg.threshold, standardized, 0, range(1, cfg.k0 + 1))
     _, gamma = sym_eig(w_stat(standardized, cfg.k0, u_per_lag))

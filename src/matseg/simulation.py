@@ -385,14 +385,9 @@ def run_experiment(
         n_correct = labels.count(CORRECT)
         n_near = labels.count(NEAR_COMPLETE)
         if d_bars.size:
-            stats = (
-                float(d_bars.mean()),
-                float(np.quantile(d_bars, 0.25)),
-                float(np.quantile(d_bars, 0.50)),
-                float(np.quantile(d_bars, 0.75)),
-            )
+            stats = [float(d_bars.mean()), *np.quantile(d_bars, [0.25, 0.5, 0.75]).tolist()]
         else:
-            stats = (float("nan"),) * 4
+            stats = [float("nan")] * 4
         rows.append(
             ExperimentRow(
                 example=example,

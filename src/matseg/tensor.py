@@ -21,56 +21,13 @@ from .segmentation import (
 from .series import MatrixSeries, TensorSeries
 
 
-def _check_mode(mode: int, order: int) -> int:
-    mode = int(mode)
-    if not 1 <= mode <= order:
-        raise InvalidInput(f"mode must lie in 1..{order}, got {mode}")
-    return mode
-
-
-def matricize(tensor, mode: int) -> np.ndarray:
-    """Mode-m unfolding of a tensor.
-
-    Mode-m fibers become columns; the remaining indices run over the
-    columns with the lowest-numbered mode varying fastest.
-
-    Parameters
-    ----------
-    tensor : array_like, shape (p1, ..., pr)
-        Input tensor, r >= 2.
-    mode : int
-        Mode to unfold, 1-based.
-
-    Returns
-    -------
-    ndarray, shape (p_mode, prod of the other dims)
-    """
-    arr = np.asarray(tensor, dtype=float)
-    if arr.ndim < 2:
-        raise InvalidInput(f"tensor must have order >= 2, got shape {arr.shape}")
-    mode = _check_mode(mode, arr.ndim)
-    return np.moveaxis(arr, mode - 1, 0).reshape(arr.shape[mode - 1], -1, order="F")
-
-
-def tensorize(matrix, mode: int, dims) -> np.ndarray:
-    """Inverse of :func:`matricize` for the given mode and tensor dimensions."""
-    arr = np.asarray(matrix, dtype=float)
-    dims = tuple(int(d) for d in dims)
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise InvalidInput(f"dims must list at least two positive sizes, got {dims}")
-    mode = _check_mode(mode, len(dims))
-    rest = dims[: mode - 1] + dims[mode:]
-    expected = (dims[mode - 1], int(np.prod(rest)))
-    if arr.ndim != 2 or arr.shape != expected:
-        raise InvalidInput(
-            f"matrix shape {arr.shape} does not match mode-{mode} unfolding {expected}"
-        )
-    folded = arr.reshape((dims[mode - 1],) + rest, order="F")
-    return np.moveaxis(folded, 0, mode - 1)
-
-
 def _unfold_series(data: np.ndarray, mode: int) -> np.ndarray:
-    """Unfold every tensor in an (n, p1, ..., pr) array at the given mode."""
+    """Mode-m unfolding of every tensor in an (n, p1, ..., pr) array, 1-based mode.
+
+    Each tensor becomes a (p_mode, prod of the other dims) matrix whose
+    columns are its mode-m fibers, the other indices running over the
+    columns with the lowest-numbered mode fastest.
+    """
     n = data.shape[0]
     order = data.ndim - 1
     moved = np.moveaxis(data, mode, 1)

@@ -83,19 +83,6 @@ def brute_w_stat(data: np.ndarray, k0: int, u_per_lag=None) -> np.ndarray:
     return acc
 
 
-def brute_w_stat_rowpair(data: np.ndarray, k0: int, v_per_lag=None) -> np.ndarray:
-    _, p, q = data.shape
-    acc = np.zeros((q, q))
-    for k in range(0, k0 + 1):
-        for i in range(1, p + 1):
-            for j in range(1, p + 1):
-                cov = brute_pair_autocov(data, i, j, k)
-                if v_per_lag is not None:
-                    cov = brute_hard_threshold(cov, v_per_lag[k])
-                acc = acc + _loop_product_aat(cov)
-    return acc / (p * p)
-
-
 def brute_pair_scores(data: np.ndarray, gamma: np.ndarray, m: int) -> np.ndarray:
     """Maximal absolute cross-correlations over lags -m..m for all column pairs.
 

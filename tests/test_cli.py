@@ -290,6 +290,19 @@ def test_replicate_single_rep_gives_binary_proportions(tmp_path):
     assert row[5] in (0.0, 1.0)
 
 
+def test_report_without_correct_runs_has_empty_median_field(tmp_path):
+    # the one example-3 run at n = 50 is not correct, so no median exists
+    out = tmp_path / "report.csv"
+    argv = ["replicate", "--example", 3, "--n", 50, "--reps", 1, "--seed", 0, "--threads", 1]
+    assert _run(argv + ["--out", out]) == 0
+    text = out.read_text()
+    assert "nan" not in text
+    assert text.splitlines()[1].endswith(",")
+    (row,) = mio.read_report_csv(out)
+    assert row[:5] == (3, 50, 1, 0.0, 1.0)
+    assert np.isnan(row[6])
+
+
 def test_usage_errors_exit_2(tmp_path):
     cases = [
         [],
@@ -329,6 +342,19 @@ def test_data_errors_exit_3_with_error_record(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "ParseError"
     assert not wrapping_out.exists()
+
+    # int() would read this header as n=2, p=10, q=1
+    digits = tmp_path / "digits.txt"
+    rows = "\n".join([",".join(["1.0"] * 10)] * 2) + "\n"
+    digits.write_bytes(f"matseg,matrix,1\n\u0662,1_0,1\n{rows}".encode())
+    digits_out = tmp_path / "digits.json"
+    assert _run(["segment", digits, "--out", digits_out]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["error"] == "ParseError"
+    assert record["line"] == 2
+    assert not digits_out.exists()
 
     series_path = tmp_path / "s.txt"
     data = np.random.default_rng(5).standard_normal((40, 2, 3))

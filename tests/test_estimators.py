@@ -10,18 +10,11 @@ from matseg.estimators import (
     _center,
     _lag_product,
     hard_threshold,
-    pair_autocov,
     pair_autocov_all,
     row_autocov,
     w_stat,
-    w_stat_rowpair,
 )
-from oracles import (
-    brute_pair_autocov,
-    brute_row_autocov,
-    brute_w_stat,
-    brute_w_stat_rowpair,
-)
+from oracles import brute_pair_autocov, brute_row_autocov, brute_w_stat
 
 
 def _random_series(rng, n, p, q):
@@ -87,7 +80,7 @@ def test_pair_autocov_hand_case():
     data[1] = [[0.0, 1.0], [1.0, 0.0]]
     data[2] = [[2.0, 0.0], [0.0, 1.0]]
     series = MatrixSeries(data)
-    got = pair_autocov(series, 1, 2, 1)
+    got = pair_autocov_all(series, 1)[0, 1]
     want = brute_pair_autocov(data, 1, 2, 1)
     assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -102,7 +95,7 @@ def test_pair_autocov_matches_brute_force():
         i = int(rng.integers(1, p + 1))
         j = int(rng.integers(1, p + 1))
         for h in range(0, n):
-            got = pair_autocov(series, i, j, h)
+            got = pair_autocov_all(series, h)[i - 1, j - 1]
             want = brute_pair_autocov(series.data, i, j, h)
             assert got.shape == (q, q)
             assert np.max(np.abs(got - want)) <= 1e-12
@@ -116,8 +109,8 @@ def test_pair_autocov_all_stacks_every_row_pair():
         assert stack.shape == (3, 3, 2, 2)
         for i in range(1, 4):
             for j in range(1, 4):
-                single = pair_autocov(series, i, j, h)
-                assert np.array_equal(stack[i - 1, j - 1], single)
+                single = brute_pair_autocov(series.data, i, j, h)
+                assert np.max(np.abs(stack[i - 1, j - 1] - single)) <= 1e-12
 
 
 def test_lag_product_row_width_sums_the_diagonal_row_blocks():
@@ -159,18 +152,16 @@ def test_lag_product_pair_width_matches_pair_autocov():
         pairs = _lag_product(_center(series.data), h, p * q).reshape(p, q, p, q) / n
         for i in range(1, p + 1):
             for j in range(1, p + 1):
-                want = pair_autocov(series, i, j, h)
+                want = brute_pair_autocov(series.data, i, j, h)
                 assert np.max(np.abs(pairs[i - 1, :, j - 1, :] - want)) <= 1e-12
 
 
 def test_pair_autocov_index_and_lag_errors():
     series = _random_series(np.random.default_rng(0), 5, 2, 2)
     with pytest.raises(InvalidInput):
-        pair_autocov(series, 0, 1, 0)
+        pair_autocov_all(series, -1)
     with pytest.raises(InvalidInput):
-        pair_autocov(series, 1, 3, 0)
-    with pytest.raises(InvalidInput):
-        pair_autocov(series, 1, 1, 5)
+        pair_autocov_all(series, 5)
 
 
 def test_pair_autocov_all_resource_guard():
@@ -297,28 +288,6 @@ def test_w_stat_k0_bounds():
         w_stat(series, 4)
     with pytest.raises(InvalidInput):
         w_stat(series, 2, u_per_lag=[0.1])
-
-
-def test_w_stat_rowpair_matches_brute_force():
-    rng = np.random.default_rng(20)
-    for _ in range(20):
-        n = int(rng.integers(4, 11))
-        p = int(rng.integers(1, 5))
-        q = int(rng.integers(1, 5))
-        series = _random_series(rng, n, p, q)
-        k0 = int(rng.integers(1, min(3, n - 2) + 1))
-        v = [float(x) for x in rng.uniform(0.0, 0.5, size=k0 + 1)]
-        for v_per_lag in (None, v):
-            got = w_stat_rowpair(series, k0, v_per_lag=v_per_lag)
-            want = brute_w_stat_rowpair(series.data, k0, v_per_lag)
-            assert np.max(np.abs(got - want)) <= 1e-12
-            assert np.max(np.abs(got - got.T)) <= 1e-14
-
-
-def test_w_stat_rowpair_length_check():
-    series = _random_series(np.random.default_rng(0), 8, 2, 2)
-    with pytest.raises(InvalidInput):
-        w_stat_rowpair(series, 2, v_per_lag=[0.1, 0.1])
 
 
 def test_time_reversal_transposes_row_autocov():

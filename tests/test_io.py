@@ -164,6 +164,16 @@ def test_read_series_parse_errors(tmp_path):
         io.read_series(_write(path, "matseg,tensor,1\n4,3\n"))
     assert exc.value.line == 2
 
+    # int() reads the first header as n=2, p=10, q=1: an Arabic-Indic two and
+    # a digit-group underscore; integers are ASCII digits only
+    rows = "\n".join([",".join(["1.0"] * 10)] * 2) + "\n"
+    for header in ("\u0662,1_0,1", "2,1_0,1", "2,\u0661\u0660,1"):
+        path.write_bytes(f"matseg,matrix,1\n{header}\n{rows}".encode())
+        with pytest.raises(ParseError) as exc:
+            io.read_series(path)
+        assert exc.value.line == 2, header
+        assert "bad integer" in exc.value.reason, header
+
 
 def test_read_series_parse_errors_name_the_line(tmp_path):
     path = tmp_path / "bad.txt"
@@ -310,6 +320,13 @@ def test_read_truth_parse_errors(tmp_path):
     # declared q=2 but a single transformation row
     with pytest.raises(ParseError):
         io.read_truth(_write(path, "matseg,truth,1\n2,1,1\ngroup,1,2\na,1.0,0.0\n"))
+
+    # int() reads the group as 1, 2 from an Arabic-Indic two
+    path.write_bytes("matseg,truth,1\n2,1,1\ngroup,1,\u0662\na,1.0,0.0\na,0.0,1.0\n".encode())
+    with pytest.raises(ParseError) as exc:
+        io.read_truth(path)
+    assert exc.value.line == 3
+    assert "bad integer" in exc.value.reason
 
 
 def test_threshold_doc_round_trip():
@@ -466,6 +483,8 @@ def test_report_csv_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "example,n,reps,correct,incorrect,near_complete,d_bar_median"
     assert len(lines) == 3
+    # a cell with no correct run has no median: an empty field, not nan
+    assert lines[2] == "1,200,8,0.0,1.0,0.0,"
 
     back = io.read_report_csv(path)
     assert len(back) == 2

@@ -22,6 +22,7 @@ from matseg.segmentation import (
     CvThreshold,
     _component_scales,
     _cv_plan,
+    _definite_level,
     group_columns,
     lag_scores,
     ratio_select,
@@ -345,20 +346,52 @@ def test_cv_segment_of_valid_example_1_series():
     assert sorted(g for group in result.groups for g in group) == list(range(1, 7))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="CHANGES.md FOUND line on segmentation.standardize: the lag-0 row "
-    "covariance thresholded at u0 with its diagonal kept is indefinite here "
-    "(eigenvalue -0.63 at u0 = 4.49), inv_sqrt_psd floors it, and the "
-    "standardized covariance reaches 1.5e7 instead of about 1",
-)
 def test_cv_standardized_example_1_series_has_bounded_covariance():
     # the series of test_cv_segment_of_valid_example_1_series; under
     # NoThreshold every eigenvalue of this covariance is 1
     series, _ = gen_example(1, 300, np.random.default_rng((11, 1, 300)))
     result = segment(series, SegmentationConfig(threshold=CvThreshold(n_splits=5)))
     assert np.linalg.eigvalsh(row_autocov(result.transformed, 0)).max() <= 10.0
+
+
+def _definite(cov0, level, eps):
+    vals = np.linalg.eigvalsh(hard_threshold(cov0, level, keep_diagonal=True))
+    return vals[0] > eps * vals[-1]
+
+
+def test_lag0_level_is_raised_until_every_higher_level_is_definite():
+    # cross-validation picks u0 = 4.49 here, where the thresholded lag-0
+    # covariance has eigenvalue -0.63
+    series, _ = gen_example(1, 300, np.random.default_rng((11, 1, 300)))
+    eps = SegmentationConfig().eps
+    cov0 = row_autocov(series, 0)
+    u0 = threshold_levels(CvThreshold(n_splits=5), series, 0, [0])[0]
+    assert not _definite(cov0, u0, eps)
+    for threshold in (CvThreshold(n_splits=5), FixedThreshold(u=u0, v=0.0)):
+        result = segment(series, SegmentationConfig(threshold=threshold))
+        assert np.linalg.eigvalsh(row_autocov(result.transformed, 0)).max() <= 10.0
+        level = result.u_lag0
+        assert level > u0
+        assert level == _definite_level(cov0, u0, eps)
+        # the levels just above each off-diagonal magnitude >= u0
+        off = np.abs(cov0[~np.eye(series.q, dtype=bool)])
+        candidates = np.nextafter(off[off >= u0], np.inf)
+        assert level in candidates
+        assert all(_definite(cov0, c, eps) for c in candidates[candidates >= level])
+        # the next candidate down is indefinite, so no lower level would do
+        assert not _definite(cov0, candidates[candidates < level].max(), eps)
+
+
+def test_definite_lag0_level_stands():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        series = _random_series(rng, 60, 2, 4)
+        cov0 = row_autocov(series, 0)
+        u0 = float(rng.uniform(0.0, 0.5))
+        assert _definite(cov0, u0, 1e-10)
+        assert _definite_level(cov0, u0, 1e-10) == u0
+        result = segment(series, SegmentationConfig(threshold=FixedThreshold(u=u0, v=0.0)))
+        assert result.u_lag0 == u0
 
 
 def test_segment_cross_validates_lag0_level_once(monkeypatch):

@@ -19,7 +19,7 @@ from matseg import (
 )
 from matseg import estimators
 from matseg.estimators import _pair_lag_products
-from matseg.tensor import _fold_series, _relayout, _unfold_series, matricize, tensorize
+from matseg.tensor import _fold_series, _relayout, _unfold_series
 from matseg.simulation import gen_factor_varma
 from oracles import brute_matricize
 
@@ -34,25 +34,30 @@ def _counting_tensor():
     return t
 
 
+def _unfold(tensor, mode):
+    # the mode unfolding of a single tensor, through the series unfolding
+    return _unfold_series(tensor[None], mode)[0]
+
+
 def test_matricize_counting_hand_case():
     t = _counting_tensor()
-    assert np.array_equal(matricize(t, 1), [[1, 3, 5, 7], [2, 4, 6, 8]])
-    assert np.array_equal(matricize(t, 2), [[1, 2, 5, 6], [3, 4, 7, 8]])
-    assert np.array_equal(matricize(t, 3), [[1, 2, 3, 4], [5, 6, 7, 8]])
+    assert np.array_equal(_unfold(t, 1), [[1, 3, 5, 7], [2, 4, 6, 8]])
+    assert np.array_equal(_unfold(t, 2), [[1, 2, 5, 6], [3, 4, 7, 8]])
+    assert np.array_equal(_unfold(t, 3), [[1, 2, 3, 4], [5, 6, 7, 8]])
 
 
 def test_matricize_matrix_modes_are_identity_and_transpose():
     m = np.arange(12.0).reshape(3, 4)
-    assert np.array_equal(matricize(m, 1), m)
-    assert np.array_equal(matricize(m, 2), m.T)
+    assert np.array_equal(_unfold(m, 1), m)
+    assert np.array_equal(_unfold(m, 2), m.T)
 
 
 def test_tensorize_inverts_hand_case():
     t = _counting_tensor()
     for mode in (1, 2, 3):
-        assert np.array_equal(tensorize(matricize(t, mode), mode, (2, 2, 2)), t)
+        assert np.array_equal(_fold_series(_unfold_series(t[None], mode), mode, (2, 2, 2))[0], t)
     m = np.arange(12.0).reshape(3, 4)
-    assert np.array_equal(tensorize(m.T, 2, (3, 4)), m)
+    assert np.array_equal(_fold_series(m.T[None], 2, (3, 4))[0], m)
 
 
 def test_matricize_round_trip_and_oracle():
@@ -60,32 +65,14 @@ def test_matricize_round_trip_and_oracle():
     for _ in range(120):
         r = int(rng.integers(2, 5))
         dims = tuple(int(rng.integers(1, 5)) for _ in range(r))
-        t = rng.standard_normal(dims)
+        data = rng.standard_normal((int(rng.integers(2, 5)),) + dims)
         mode = int(rng.integers(1, r + 1))
-        unfolded = matricize(t, mode)
+        unfolded = _unfold_series(data, mode)
         other = int(np.prod(dims)) // dims[mode - 1]
-        assert unfolded.shape == (dims[mode - 1], other)
-        assert np.array_equal(unfolded, brute_matricize(t, mode))
-        assert np.array_equal(tensorize(unfolded, mode, dims), t)
-
-
-def test_matricize_errors():
-    t = np.zeros((2, 3, 4))
-    with pytest.raises(InvalidInput):
-        matricize(t, 0)
-    with pytest.raises(InvalidInput):
-        matricize(t, 4)
-    with pytest.raises(InvalidInput):
-        matricize(np.zeros(5), 1)
-
-
-def test_tensorize_errors():
-    with pytest.raises(InvalidInput):
-        tensorize(np.zeros((2, 12)), 1, (2, 3))
-    with pytest.raises(InvalidInput):
-        tensorize(np.zeros((2, 12)), 1, (2, 3, 3))
-    with pytest.raises(InvalidInput):
-        tensorize(np.zeros((2, 12)), 1, (2,))
+        assert unfolded.shape == (data.shape[0], dims[mode - 1], other)
+        for t in range(data.shape[0]):
+            assert np.array_equal(unfolded[t], brute_matricize(data[t], mode))
+        assert np.array_equal(_fold_series(unfolded, mode, dims), data)
 
 
 def test_tensor_series_validation():

@@ -14,8 +14,9 @@ n = 60, 300 and 1500, and an order-3 3x4x5 series is written directly.
 Each matrix series is segmented under none, fixed:0.05,0.03 and cv:5 and
 its correlogram taken raw, with --gamma (from its unthresholded result)
 and under cv:3; the tensor is segmented under none, cv:3 and
-fixed:0.05,0.03; two small replicate reports close the list.  Commands
-run one at a time in a temporary directory, with relative paths.
+fixed:0.05,0.03; three small replicate reports close the list, one of
+them with no correct run.  Commands run one at a time in a temporary
+directory, with relative paths.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ def commands() -> list[tuple[list[str], list[str]]]:
     reports = [
         ["--example", "1", "--n", "60,100", "--reps", "4"],
         ["--example", "3", "--n", "100", "--reps", "3", "--threshold", "cv:3"],
+        # no run is correct, so the report has no median
+        ["--example", "3", "--n", "50", "--reps", "1"],
     ]
     for i, flags in enumerate(reports):
         csv = f"report{i}.csv"
