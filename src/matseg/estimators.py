@@ -51,7 +51,7 @@ def _center(data: np.ndarray) -> np.ndarray:
     return np.subtract(data, data.mean(axis=0), out=np.empty(data.shape))
 
 
-def _lag_product(x: np.ndarray, k: int, width: int, t=None) -> np.ndarray:
+def _lag_product(x: np.ndarray, k: int, width: int, t=None, out=None) -> np.ndarray:
     """Sum over t of x[t + k]' x[t], each time slice flattened to rows of width entries.
 
     Width q gives n p times the row-averaged autocovariance of centred
@@ -59,6 +59,7 @@ def _lag_product(x: np.ndarray, k: int, width: int, t=None) -> np.ndarray:
     valid time point 0..n-k-1, or over the given index array, whose points
     with t + k past the end are skipped.  k is not checked.  This is the
     one lag product behind the estimators and their cross-validation.
+    out, if given, is a C-ordered (width, width) array that receives it.
     """
     n = x.shape[0]
     if t is None:
@@ -66,7 +67,7 @@ def _lag_product(x: np.ndarray, k: int, width: int, t=None) -> np.ndarray:
     else:
         t = t[t + k <= n - 1]
         lead, base = x[t + k], x[t]
-    return lead.reshape(-1, width).T @ base.reshape(-1, width)
+    return np.matmul(lead.reshape(-1, width).T, base.reshape(-1, width), out=out)
 
 
 def pair_autocov_all(series: MatrixSeries, h: int) -> np.ndarray:
@@ -90,18 +91,21 @@ def _check_pair_size(width: int, what: str) -> None:
         raise ResourceLimit(f"{what} would hold {width * width} entries")
 
 
-def _pair_lag_products(centered: np.ndarray, h: int) -> np.ndarray:
+def _pair_lag_products(centered: np.ndarray, h: int, out=None) -> np.ndarray:
     """pair_autocov_all at lag h from data already centred by its full-sample mean.
 
     Scoring passes centre once and call this per lag; h is not checked.
+    out, if given, is a C-ordered buffer of (p q)^2 entries that receives
+    the product; the result is a view of it.
     """
     n, p, q = centered.shape
     _check_pair_size(p * q, "row-pair covariance tensor")
-    flat = _lag_product(centered, h, p * q) / n
+    flat = _lag_product(centered, h, p * q, out=None if out is None else out.reshape(p * q, p * q))
+    flat /= n
     return flat.reshape(p, q, p, q).transpose(0, 2, 1, 3)
 
 
-def hard_threshold(matrix, u: float, keep_diagonal: bool = False) -> np.ndarray:
+def hard_threshold(matrix, u: float, keep_diagonal: bool = False, out=None) -> np.ndarray:
     """Zero all entries with magnitude strictly below u.
 
     Parameters
@@ -113,6 +117,9 @@ def hard_threshold(matrix, u: float, keep_diagonal: bool = False) -> np.ndarray:
     keep_diagonal : bool
         When True, diagonal entries of the trailing two axes are kept
         regardless of magnitude.
+    out : ndarray, optional
+        Float array of the input's shape, sharing no memory with it, that
+        receives the result.
 
     Returns
     -------
@@ -122,7 +129,13 @@ def hard_threshold(matrix, u: float, keep_diagonal: bool = False) -> np.ndarray:
     arr = np.asarray(matrix, dtype=float)
     if not np.isfinite(u) or u < 0:
         raise InvalidInput(f"threshold must be finite and nonnegative, got {u}")
-    out = np.where(np.abs(arr) < u, 0.0, arr)
+    if out is None:
+        out = np.where(np.abs(arr) < u, 0.0, arr)
+    else:
+        # |arr| is formed in out, so no array of the input's size is allocated
+        small = np.abs(arr, out=out) < u
+        np.copyto(out, arr)
+        out[small] = 0.0
     if keep_diagonal:
         if arr.ndim < 2:
             raise InvalidInput("keep_diagonal requires at least a 2-dimensional input")

@@ -160,13 +160,21 @@ def standardize(
     standardizer : ndarray, shape (q, q)
         Symmetric matrix right-multiplied into every observation.
     """
+    return _standardize(series, u0, eps)
+
+
+def _standardize(
+    series: MatrixSeries, u0: float | None, eps: float, cov0: np.ndarray | None = None
+) -> tuple[MatrixSeries, np.ndarray]:
+    """standardize, given the raw lag-0 row covariance cov0 if it is already formed."""
     if series.n <= series.q:
         warnings.warn(
             f"series length {series.n} does not exceed column count {series.q}; "
             "the lag-0 covariance estimate is unreliable",
-            stacklevel=2,
+            stacklevel=3,
         )
-    cov0 = row_autocov(series, 0)
+    if cov0 is None:
+        cov0 = row_autocov(series, 0)
     variances = np.diag(cov0)
     for idx in range(series.q):
         if variances[idx] <= 0:
@@ -224,18 +232,27 @@ def _component_scales(tensor0: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return np.sqrt(var)
 
 
-def _sandwich(tensor: np.ndarray, mat: np.ndarray) -> np.ndarray:
+def _sandwich(tensor: np.ndarray, mat: np.ndarray, out=None, work=None) -> np.ndarray:
     """mat applied to both column axes of a (p, p, q, q) row-pair tensor.
 
     Entry (k, l, i, j) is the sum over a, b of tensor[k, l, a, b] mat[a, i]
     mat[b, j]: the row-pair covariances of the series right-multiplied by mat.
     One stacked product per axis, a before b, with no transposed copy.
+    work and out, if given, are C-ordered (p, p, q, q) arrays that receive
+    the first product and the result; out may hold tensor itself, which is
+    spent once work is formed.
     """
-    return np.matmul(np.matmul(mat.T, tensor), mat)
+    return np.matmul(np.matmul(mat.T, tensor, out=work), mat, out=out)
 
 
 def _lag_score(
-    tensor: np.ndarray, gamma: np.ndarray, v: float | None, h: int, denom: np.ndarray | None
+    tensor: np.ndarray,
+    gamma: np.ndarray,
+    v: float | None,
+    h: int,
+    denom: np.ndarray | None,
+    out=None,
+    work=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pair scores at lag h from that lag's (p, p, q, q) row-pair tensor.
 
@@ -245,7 +262,9 @@ def _lag_score(
     and -h.  The correlation denominators are the transformed components'
     standard deviations from the lag-0 tensor before it is thresholded: at
     h = 0 they are computed here and denom is ignored; later lags pass on
-    the denom that lag 0 returned.
+    the denom that lag 0 returned.  out and work, if given, are C-ordered
+    (p, p, q, q) arrays: out receives the thresholded and then the rotated
+    tensor, work the temporaries.  Under v = None out may hold tensor itself.
 
     Returns
     -------
@@ -258,11 +277,11 @@ def _lag_score(
         scales = _component_scales(tensor, gamma)
         denom = np.einsum("ki,lj->klij", scales, scales)
     if v is not None:
-        tensor = hard_threshold(tensor, v)
-    rotated = _sandwich(tensor, gamma)
+        tensor = hard_threshold(tensor, v, out=out)
+    rotated = _sandwich(tensor, gamma, out, work)
     # a pass holds one lag's tensors at a time, so each is freed once spent
     del tensor
-    ratio = rotated / denom
+    ratio = np.divide(rotated, denom, out=work)
     corr = np.abs(ratio, out=ratio).max(axis=(0, 1))
     return np.maximum(corr, corr.T), denom, rotated
 
@@ -454,11 +473,12 @@ def _maps(series: MatrixSeries, cfg: SegmentationConfig) -> tuple[_Maps, MatrixS
     """
     if series.q == 1:
         # thresholding leaves the variance of a lone column as it is
-        standardized, standardizer = standardize(series, None, cfg.eps)
+        standardized, standardizer = _standardize(series, None, cfg.eps)
         return _Maps(standardizer, np.eye(1)), standardized
     lag0 = threshold_levels(cfg.threshold, series, 0, [0])
-    u_lag0 = None if lag0 is None else _definite_level(row_autocov(series, 0), lag0[0], cfg.eps)
-    standardized, standardizer = standardize(series, u_lag0, cfg.eps)
+    cov0 = row_autocov(series, 0)
+    u_lag0 = None if lag0 is None else _definite_level(cov0, lag0[0], cfg.eps)
+    standardized, standardizer = _standardize(series, u_lag0, cfg.eps, cov0)
     u_per_lag = threshold_levels(cfg.threshold, standardized, 0, range(1, cfg.k0 + 1))
     _, gamma = sym_eig(w_stat(standardized, cfg.k0, u_per_lag))
     v_per_lag = threshold_levels(cfg.threshold, standardized, 1, range(cfg.m + 1))

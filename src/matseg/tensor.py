@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextvars
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -59,15 +62,29 @@ def _layout_axes(mode: int, order: int) -> list[int]:
     return rest + [order + a for a in rest] + [mode - 1, order + mode - 1]
 
 
-def _relayout(tensor: np.ndarray, src: int, dst: int, dims: tuple[int, ...]) -> np.ndarray:
-    """A pair tensor in mode src's layout re-indexed into mode dst's."""
+def _relayout(
+    tensor: np.ndarray, src: int, dst: int, dims: tuple[int, ...], out=None
+) -> np.ndarray:
+    """A pair tensor in mode src's layout re-indexed into mode dst's.
+
+    out, if given, is a C-ordered array of mode dst's shape, sharing no
+    memory with tensor, that receives the re-indexed copy.
+    """
     order = len(dims)
     src_axes, dst_axes = _layout_axes(src, order), _layout_axes(dst, order)
     full = tensor.reshape([dims[a % order] for a in src_axes])
     moved = full.transpose([src_axes.index(a) for a in dst_axes])
-    cols = dims[dst - 1]
+    if out is None:
+        return moved.reshape(_pair_shape(dst, dims))
+    np.copyto(out.reshape(moved.shape), moved)
+    return out
+
+
+def _pair_shape(mode: int, dims: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """Shape (rows, rows, cols, cols) of the mode's pair tensor."""
+    cols = dims[mode - 1]
     rows = int(np.prod(dims)) // cols
-    return moved.reshape(rows, rows, cols, cols)
+    return rows, rows, cols, cols
 
 
 @contextmanager
@@ -80,40 +97,101 @@ def _mode_stage(mode: int):
         raise
 
 
+def _lag_mode_scores(
+    centered: np.ndarray,
+    stages: list[_Maps],
+    dims: tuple[int, ...],
+    h: int,
+    denoms: list,
+    buffers: list[np.ndarray],
+) -> list[np.ndarray | None]:
+    """Every mode's (q, q) pair scores at lag h, from that lag's one row-pair product.
+
+    Mode 1's tensor is the product itself.  Rotated by mode m's gamma,
+    re-indexed into mode m + 1's layout and standardized on its column
+    axes, mode m's tensor becomes mode m + 1's, which is scored at mode
+    m + 1's own levels.  A mode of dimension 1 is carried but not scored.
+    Lag 0 sets each mode's denominators in denoms; later lags read them.
+    The tensors are written into buffers, flat arrays of (prod dims)^2
+    entries that no other call uses meanwhile: two, and a third when some
+    mode is thresholded.
+    """
+    order = len(dims)
+    held, work = buffers[:2]
+    tensor = _pair_lag_products(centered, h, out=held)
+    scores = [None] * order
+    for mode, maps in enumerate(stages, start=1):
+        shape = _pair_shape(mode, dims)
+        with _mode_stage(mode):
+            if mode > 1:
+                # carried sits in held, which is spent once it is re-indexed
+                held, work = work, held
+                tensor = _relayout(carried, mode - 1, mode, dims, out=held.reshape(shape))
+                tensor = _sandwich(tensor, maps.standardizer, tensor, work.reshape(shape))
+            if dims[mode - 1] == 1:
+                carried = tensor  # its gamma is the identity
+                continue
+            v = None if maps.v_per_lag is None else maps.v_per_lag[h]
+            # a thresholded tensor is rotated in the third buffer: the carry needs the raw one
+            out = held if v is None else buffers[2]
+            scores[mode - 1], denom, rotated = _lag_score(
+                tensor, maps.gamma, v, h, denoms[mode - 1], out.reshape(shape), work.reshape(shape)
+            )
+            if h == 0:
+                denoms[mode - 1] = denom
+            # the next mode carries the unthresholded tensor, rotated
+            if v is None:
+                carried = rotated
+            elif mode < order:
+                carried = _sandwich(tensor, maps.gamma, held.reshape(shape), work.reshape(shape))
+    return scores
+
+
+_WORKERS = 2
+
+
 def _shared_scores(
     centered: np.ndarray, stages: list[_Maps], dims: tuple[int, ...], m: int
 ) -> list[np.ndarray]:
     """Pair score matrix of every mode from one row-pair product per lag.
 
     centered is the centred mode-1 standardized series, and its lag-h
-    product is mode 1's (rows, rows, cols, cols) pair tensor.  Rotated by
-    mode m's gamma, re-indexed into mode m + 1's layout and standardized on
-    its column axes, mode m's tensor becomes mode m + 1's, which is scored
-    at mode m + 1's own levels.  Only one lag's tensors are held at a time.
+    product is mode 1's (rows, rows, cols, cols) pair tensor; see
+    :func:`_lag_mode_scores`.  Lag 0 runs here: it fixes every mode's
+    denominators and raises the data errors.  Lags 1..m then run on
+    two threads, and their scores are folded in by maximum, which is
+    exact, so the result does not depend on the scheduling.
     """
-    order = len(dims)
     _check_score_window(m, centered.shape[0])
+    size = int(np.prod(dims)) ** 2
+    count = 2 if all(maps.v_per_lag is None for maps in stages) else 3
+    # every thread writes into buffers allocated here: glibc keeps the blocks
+    # a thread frees in that thread's own arena, which would raise the peak
+    free = queue.SimpleQueue()
+    for _ in range(_WORKERS):
+        free.put([np.empty(size) for _ in range(count)])
+    denoms = [None] * len(dims)
     best = [np.zeros((q, q)) for q in dims]
-    denoms = [None] * order
-    for h in range(m + 1):
-        tensor = _pair_lag_products(centered, h)
-        for mode, maps in enumerate(stages, start=1):
-            with _mode_stage(mode):
-                if mode > 1:
-                    tensor = _sandwich(_relayout(carried, mode - 1, mode, dims), maps.standardizer)
-                if dims[mode - 1] == 1:
-                    carried = tensor  # its gamma is the identity
-                    continue
-                v = None if maps.v_per_lag is None else maps.v_per_lag[h]
-                scores, denoms[mode - 1], rotated = _lag_score(
-                    tensor, maps.gamma, v, h, denoms[mode - 1]
-                )
-                np.maximum(best[mode - 1], scores, out=best[mode - 1])
-                # the next mode carries the unthresholded tensor, rotated
-                if v is None:
-                    carried = rotated
-                elif mode < order:
-                    carried = _sandwich(tensor, maps.gamma)
+
+    def score(h):
+        buffers = free.get()
+        try:
+            return _lag_mode_scores(centered, stages, dims, h, denoms, buffers)
+        finally:
+            free.put(buffers)
+
+    def fold(scores):
+        for matrix, lag in zip(best, scores):
+            if lag is not None:
+                np.maximum(matrix, lag, out=matrix)
+
+    fold(score(0))
+    lags = range(1, m + 1)
+    # each task runs in a copy of this context, so numpy's errstate holds there
+    runs = [contextvars.copy_context().run for _ in lags]
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        for scores in pool.map(lambda run, h: run(score, h), runs, lags):
+            fold(scores)
     for matrix in best:
         if not np.all(np.isfinite(matrix)):
             raise InvalidInput("pair scores are not finite")

@@ -642,3 +642,19 @@ def test_config_validation():
     # a threshold spec string is not a mode
     with pytest.raises(InvalidInput, match="threshold mode"):
         SegmentationConfig(threshold="cv:5")
+
+
+@pytest.mark.parametrize(
+    "threshold", [NoThreshold(), FixedThreshold(0.05, 0.03), CvThreshold(n_splits=3)]
+)
+def test_segment_forms_the_raw_lag0_covariance_once(monkeypatch, threshold):
+    series, _ = gen_example(1, 300, np.random.default_rng(74))
+    lags = []
+
+    def counting(series, k):
+        lags.append(k)
+        return row_autocov(series, k)
+
+    monkeypatch.setattr(segmentation, "row_autocov", counting)
+    segment(series, SegmentationConfig(threshold=threshold))
+    assert lags == [0]

@@ -1,5 +1,8 @@
 """Tests for mode unfoldings and the sequential multi-mode segmentation."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -17,9 +20,10 @@ from matseg import (
     segment,
     sequential_segment,
 )
-from matseg import estimators
-from matseg.estimators import _pair_lag_products
-from matseg.tensor import _fold_series, _relayout, _unfold_series
+from matseg import estimators, tensor
+from matseg.estimators import _center, _pair_lag_products
+from matseg.segmentation import _lag_score, _maps, _sandwich
+from matseg.tensor import _fold_series, _relayout, _shared_scores, _unfold_series
 from matseg.simulation import gen_factor_varma
 from oracles import brute_matricize
 
@@ -229,14 +233,123 @@ def test_sequential_segment_forms_one_row_pair_product_per_lag(monkeypatch):
     full_width = []
     lag_product = estimators._lag_product
 
-    def counting(x, k, width, t=None):
+    def counting(x, k, width, t=None, out=None):
         if t is None and width == 60:
             full_width.append(k)
-        return lag_product(x, k, width, t)
+        return lag_product(x, k, width, t, out)
 
     monkeypatch.setattr(estimators, "_lag_product", counting)
     sequential_segment(series, SegmentationConfig(m=10))
-    assert full_width == list(range(11))
+    # lags 1..10 are formed concurrently, so only their order may vary
+    assert sorted(full_width) == list(range(11))
+
+
+def _score_inputs(series, cfg):
+    # the centred mode-1 series and every mode's maps, as sequential_segment
+    # hands them to _shared_scores
+    data, dims, stages = series.data, series.dims, []
+    for mode in range(1, series.order + 1):
+        unfolded = MatrixSeries(np.swapaxes(_unfold_series(data, mode), 1, 2))
+        maps, standardized = _maps(unfolded, cfg)
+        if mode == 1:
+            centered = _center(standardized.data)
+        stages.append(maps)
+        data = _fold_series(np.swapaxes(standardized.data @ maps.gamma, 1, 2), mode, dims)
+    return centered, stages
+
+
+def _serial_scores(centered, stages, dims, m):
+    # one lag after another, every tensor freshly allocated
+    best = [np.zeros((q, q)) for q in dims]
+    denoms = [None] * len(dims)
+    for h in range(m + 1):
+        product = _pair_lag_products(centered, h)
+        for mode, maps in enumerate(stages, start=1):
+            if mode > 1:
+                product = _sandwich(_relayout(carried, mode - 1, mode, dims), maps.standardizer)
+            if dims[mode - 1] == 1:
+                carried = product
+                continue
+            v = None if maps.v_per_lag is None else maps.v_per_lag[h]
+            scores, denoms[mode - 1], rotated = _lag_score(
+                product, maps.gamma, v, h, denoms[mode - 1]
+            )
+            np.maximum(best[mode - 1], scores, out=best[mode - 1])
+            carried = rotated if v is None else _sandwich(product, maps.gamma)
+    return best
+
+
+@pytest.mark.parametrize("m", [0, 1, 10])
+@pytest.mark.parametrize(
+    "threshold", [NoThreshold(), FixedThreshold(0.05, 0.03), CvThreshold(n_splits=3)]
+)
+@pytest.mark.parametrize("dims, n", [((3, 4, 5), 200), ((2, 1, 3, 2), 150)])
+def test_pooled_scores_equal_a_serial_pass(threshold, dims, n, m):
+    series = _ar1_tensor(dims, n, (71, n))
+    centered, stages = _score_inputs(series, SegmentationConfig(m=m, threshold=threshold))
+    pooled = _shared_scores(centered, stages, dims, m)
+    serial = _serial_scores(centered, stages, dims, m)
+    for got, want in zip(pooled, serial):
+        assert np.array_equal(got, want)
+
+
+def test_pooled_scores_hold_with_more_workers_than_cores(monkeypatch):
+    # four workers, threads switched as often as the interpreter allows: two
+    # lags running in one set of buffers would change some lag's scores
+    series = _ar1_tensor((3, 4, 5), 200, 75)
+    cfg = SegmentationConfig(threshold=FixedThreshold(0.05, 0.03))
+    centered, stages = _score_inputs(series, cfg)
+    monkeypatch.setattr(tensor, "_WORKERS", 4)
+    pooled = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(
+            target=lambda: pooled.append(_shared_scores(centered, stages, series.dims, cfg.m))
+        )
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    serial = _serial_scores(centered, stages, series.dims, cfg.m)
+    for got, want in zip(pooled[0], serial):
+        assert np.array_equal(got, want)
+
+
+def test_pooled_lags_see_the_callers_errstate(monkeypatch):
+    series = _ar1_tensor((3, 4, 5), 120, 72)
+    seen = []
+    lag_score = tensor._lag_score
+
+    def recording(product, gamma, v, h, *rest):
+        seen.append((h, np.geterr()))
+        return lag_score(product, gamma, v, h, *rest)
+
+    monkeypatch.setattr(tensor, "_lag_score", recording)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.geterr()
+        sequential_segment(series, SegmentationConfig(m=10))
+    assert expected["over"] == expected["invalid"] == "ignore"
+    # three scored modes at each of the 11 lags
+    assert sorted(h for h, _ in seen) == sorted(list(range(11)) * 3)
+    assert all(state == expected for _, state in seen)
+
+
+def test_error_in_a_pooled_lag_names_its_mode_and_ends_every_thread(monkeypatch):
+    series = _ar1_tensor((3, 4, 5), 120, 73)
+    lag_score = tensor._lag_score
+
+    def failing(product, gamma, v, h, *rest):
+        if h == 3 and gamma.shape[0] == 4:
+            raise DegenerateVariance(2, 1)
+        return lag_score(product, gamma, v, h, *rest)
+
+    monkeypatch.setattr(tensor, "_lag_score", failing)
+    before = threading.active_count()
+    with pytest.raises(DegenerateVariance, match=r"^mode 2: "):
+        sequential_segment(series, SegmentationConfig(m=10))
+    assert threading.active_count() == before
 
 
 def test_relayout_reindexes_one_lag_product_into_every_mode():

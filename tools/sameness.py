@@ -10,13 +10,14 @@ trees that behave the same print identical manifests, so ``diff`` of two
 manifests lists the commands whose output moved.
 
 The inputs are generated here: ``simulate --seed 11`` writes examples 1-3 at
-n = 60, 300 and 1500, and an order-3 3x4x5 series is written directly.
-Each matrix series is segmented under none, fixed:0.05,0.03 and cv:5 and
-its correlogram taken raw, with --gamma (from its unthresholded result)
-and under cv:3; the tensor is segmented under none, cv:3 and
-fixed:0.05,0.03; three small replicate reports close the list, one of
-them with no correct run.  Commands run one at a time in a temporary
-directory, with relative paths.
+n = 60, 300 and 1500, and an order-3 3x4x5 and an order-4 2x1x3x2 series
+are written directly.  Each matrix series is segmented under none,
+fixed:0.05,0.03 and cv:5 and its correlogram taken raw, with --gamma (from
+its unthresholded result) and under cv:3; the order-3 tensor is segmented
+under none, cv:3 and fixed:0.05,0.03, the order-4 one (whose size-1 mode
+is carried with the identity gamma) under none and fixed:0.05,0.03; three
+small replicate reports close the list, one of them with no correct run.
+Commands run one at a time in a temporary directory, with relative paths.
 """
 
 from __future__ import annotations
@@ -35,15 +36,16 @@ EXAMPLES = (1, 2, 3)
 LENGTHS = (60, 300, 1500)
 SEGMENT_THRESHOLDS = ("none", "fixed:0.05,0.03", "cv:5")
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+TENSORS = {"tensor.txt": (3, 4, 5), "tensor4.txt": (2, 1, 3, 2)}
 
 
-def write_tensor(path: Path) -> None:
-    """An order-3 3x4x5 AR(1) series of length 300 in the matseg tensor format."""
-    rng = np.random.default_rng((11, 3, 4, 5))
-    data = rng.standard_normal((300, 3, 4, 5))
+def write_tensor(path: Path, dims: tuple[int, ...]) -> None:
+    """An AR(1) series of length 300 of dims-shaped tensors in the matseg tensor format."""
+    rng = np.random.default_rng((11,) + dims)
+    data = rng.standard_normal((300,) + dims)
     for t in range(1, data.shape[0]):
         data[t] += 0.6 * data[t - 1]
-    lines = ["matseg,tensor,1", "300,3,3,4,5"]
+    lines = ["matseg,tensor,1", ",".join(str(v) for v in (300, len(dims)) + dims)]
     # mode-major flattening, index 1 fastest, as the series format requires
     lines += [",".join(repr(float(v)) for v in x.ravel(order="F")) for x in data]
     path.write_text("\n".join(lines) + "\n")
@@ -71,6 +73,9 @@ def commands() -> list[tuple[list[str], list[str]]]:
     for i, flags in enumerate(tensor_flags):
         result = f"tensor.seg{i}.json"
         out.append((["segment", "tensor.txt", "--out", result] + flags, [result]))
+    for i, flags in enumerate([[], ["--threshold", "fixed:0.05,0.03"]]):
+        result = f"tensor4.seg{i}.json"
+        out.append((["segment", "tensor4.txt", "--out", result] + flags, [result]))
     reports = [
         ["--example", "1", "--n", "60,100", "--reps", "4"],
         ["--example", "3", "--n", "100", "--reps", "3", "--threshold", "cv:3"],
@@ -107,7 +112,8 @@ def main() -> int:
         env.update({var: str(args.blas_threads) for var in BLAS_VARIABLES})
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        write_tensor(work / "tensor.txt")
+        for name, dims in TENSORS.items():
+            write_tensor(work / name, dims)
         for argv, written in commands():
             run = subprocess.run(
                 [sys.executable, "-m", "matseg.cli"] + argv,
