@@ -62,12 +62,16 @@ def _varma_paths(dim: int, lengths: list[int], rng: np.random.Generator) -> list
     discarded.  Each product is the same BLAS matrix-vector call as a
     per-path loop makes, and the sum keeps the order (phi eta + eps) -
     theta eps_prev, so the output is bit-identical to that loop.
+
+    The recursion runs on a time-major (step, path, dim, 1) array, so each
+    step's rows are contiguous and its add and subtract run on contiguous
+    memory.  For a lone path the time-major array is a view of the drawn
+    block, not a copy.  Row views are made one moving-average block at a
+    time, so the Python objects stay bounded whatever the length.
     """
     steps = [BURN_IN + n for n in lengths]
     g, t_max = len(steps), max(steps)
     phis, thetas = [], []
-    # row 0 holds eta_0, row t + 1 holds eps_t; step t overwrites row t
-    # (eps_{t-1}, already consumed by the moving-average block) with eta_t
     buf = np.zeros((g, t_max + 2, dim))
     for i, total in enumerate(steps):
         phi = rng.uniform(-3.0, 3.0, (dim, dim))
@@ -78,19 +82,25 @@ def _varma_paths(dim: int, lengths: list[int], rng: np.random.Generator) -> list
     # a lone path uses its matrices in place: no copy at large dims
     phis = phis[0][None] if g == 1 else np.stack(phis)
     thetas = (thetas[0][None] if g == 1 else np.stack(thetas))[:, None]
-    # (step, path, dim, 1) views, so each step indexes its rows once
-    rows = buf.transpose(1, 0, 2)[..., None]
+    # row 0 holds eta_0, row t + 1 holds eps_t; step t overwrites row t
+    # (eps_{t-1}, already consumed by the moving-average block) with eta_t
+    rows = np.ascontiguousarray(buf.transpose(1, 0, 2))[..., None]
+    del buf  # for several paths rows is a copy; free the drawn block now
     ma = np.empty((_MA_BLOCK, g, dim, 1))
+    ma_rows = list(ma)
     ar = np.empty((g, dim, 1))
-    for t in range(1, t_max + 1):
-        b = (t - 1) % _MA_BLOCK
-        if b == 0:
-            stop = min(t + _MA_BLOCK, t_max + 1)
-            np.matmul(thetas, rows[t:stop].swapaxes(0, 1), out=ma[: stop - t].swapaxes(0, 1))
-        np.matmul(phis, rows[t - 1], out=ar)
-        ar += rows[t + 1]
-        np.subtract(ar, ma[b], out=rows[t])
-    return [buf[i, BURN_IN + 1 : total + 1] for i, total in enumerate(steps)]
+    matmul, add, subtract = np.matmul, np.add, np.subtract
+    for start in range(1, t_max + 1, _MA_BLOCK):
+        stop = min(start + _MA_BLOCK, t_max + 1)
+        matmul(thetas, rows[start:stop].swapaxes(0, 1), out=ma[: stop - start].swapaxes(0, 1))
+        # block[b] is row start - 1 + b, so step start + b reads block[b],
+        # adds block[b + 2] and writes block[b + 1]
+        block = list(rows[start - 1 : stop + 1])
+        for b in range(stop - start):
+            matmul(phis, block[b], ar)
+            add(ar, block[b + 2], ar)
+            subtract(ar, ma_rows[b], block[b + 1])
+    return [rows[BURN_IN + 1 : total + 1, i, :, 0] for i, total in enumerate(steps)]
 
 
 def gen_factor_varma(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for the benchmark generators, classification and the experiment runner."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from matseg.simulation import (
     _MA_BLOCK,
     BURN_IN,
     GroundTruth,
+    _varma_paths,
     classify_segmentation,
     gen_factor_varma,
     mean_subspace_error,
@@ -61,6 +63,39 @@ def test_gen_factor_varma_matches_documented_construction():
         assert got.tobytes() == want.tobytes(), (dim, n)
         assert got_rng.standard_normal() == want_rng.standard_normal()
         assert abs(np.linalg.norm(phi, ord=2) - 0.9) <= 1e-10
+
+
+def test_varma_paths_of_unequal_lengths_match_lone_calls():
+    # lengths in no order: short paths run zero-padded tails beside longer
+    # ones, and paths end mid-block and on a moving-average block edge
+    edge = (BURN_IN // _MA_BLOCK + 1) * _MA_BLOCK - BURN_IN
+    lengths = [3, 70, edge, 1, 130]
+    for dim in (1, 3, 10):
+        got_rng = np.random.default_rng((81, dim))
+        want_rng = np.random.default_rng((81, dim))
+        paths = _varma_paths(dim, lengths, got_rng)
+        assert len(paths) == len(lengths)
+        for n, path in zip(lengths, paths):
+            want = gen_factor_varma(dim, n, want_rng)
+            assert path.shape == (n, dim)
+            assert path.tobytes() == want.tobytes(), (dim, n)
+        assert got_rng.standard_normal() == want_rng.standard_normal()
+
+
+def test_lone_varma_path_costs_no_extra_copy():
+    # the recursion buffer is the only (steps, dim) allocation: the returned
+    # path is C-contiguous, so a reshape of it stays a view
+    dim, n = 480, 1500
+    rng = np.random.default_rng(82)
+    tracemalloc.start()
+    try:
+        path = gen_factor_varma(dim, n, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.flags.c_contiguous
+    assert np.shares_memory(path, path.reshape(n, 6, 8, 10))
+    assert peak < 2 * (BURN_IN + n + 2) * dim * 8, peak
 
 
 def _mirror_example(example, n, rng, a3):
