@@ -64,7 +64,7 @@ def _parse_threshold_spec(spec: str):
         return ("fixed", u, v)
     if spec == "cv" or spec.startswith("cv:"):
         if spec == "cv":
-            return ("cv", 20)
+            return ("cv", CvThreshold().n_splits)
         try:
             splits = int(spec[len("cv:") :])
         except ValueError:
@@ -117,13 +117,14 @@ def _config_from_args(args) -> SegmentationConfig:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k0", type=int, default=2, help="lags in the eigen statistic")
-    parser.add_argument("--m", type=int, default=10, help="largest lag for pair scores")
-    parser.add_argument("--c0", type=float, default=0.75, help="ratio-rule search fraction")
+    defaults = SegmentationConfig()
+    parser.add_argument("--k0", type=int, default=defaults.k0, help="lags in the eigen statistic")
+    parser.add_argument("--m", type=int, default=defaults.m, help="largest lag for pair scores")
+    parser.add_argument("--c0", type=float, default=defaults.c0, help="ratio-rule search fraction")
     parser.add_argument(
         "--ratio-shift",
         type=float,
-        default=None,
+        default=defaults.ratio_shift,
         help="additive stabilizer for the ratio rule (default: none)",
     )
     parser.add_argument(
@@ -132,7 +133,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         default=("none",),
         help="none, fixed:U,V or cv[:N]",
     )
-    parser.add_argument("--eps", type=float, default=1e-10, help="eigenvalue floor")
+    parser.add_argument("--eps", type=float, default=defaults.eps, help="eigenvalue floor")
 
 
 def _thread_count(value: int | None) -> int:
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     cor = sub.add_parser("correlogram", help="per-pair maximal absolute correlations")
     cor.add_argument("input")
     cor.add_argument("--out", required=True)
-    cor.add_argument("--m", type=int, default=10)
+    cor.add_argument("--m", type=int, default=SegmentationConfig().m)
     cor.add_argument("--gamma", default=None, help="result document whose transformation to apply")
     cor.add_argument(
         "--threshold",

@@ -45,8 +45,7 @@ def _center(data: np.ndarray) -> np.ndarray:
 
     The buffer is C-ordered even when data is a strided view (as every
     tensor mode is), so the reshapes in _lag_product are views.  Every
-    estimator centres here except the references split_row_autocov and
-    split_pair_product.
+    estimator and its cross-validation centres here.
     """
     return np.subtract(data, data.mean(axis=0), out=np.empty(data.shape))
 
@@ -130,12 +129,11 @@ def hard_threshold(matrix, u: float, keep_diagonal: bool = False, out=None) -> n
     if not np.isfinite(u) or u < 0:
         raise InvalidInput(f"threshold must be finite and nonnegative, got {u}")
     if out is None:
-        out = np.where(np.abs(arr) < u, 0.0, arr)
-    else:
-        # |arr| is formed in out, so no array of the input's size is allocated
-        small = np.abs(arr, out=out) < u
-        np.copyto(out, arr)
-        out[small] = 0.0
+        out = np.empty(arr.shape)
+    # |arr| is formed in out, so no second array of the input's size is allocated
+    small = np.abs(arr, out=out) < u
+    np.copyto(out, arr)
+    out[small] = 0.0
     if keep_diagonal:
         if arr.ndim < 2:
             raise InvalidInput("keep_diagonal requires at least a 2-dimensional input")

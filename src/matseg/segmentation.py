@@ -107,10 +107,16 @@ class SegmentationResult:
     v_per_lag: list[float] | None = None
 
 
-def _cv_plan(mode: CvThreshold, kind: int, lag: int) -> CvThreshold:
-    """mode with its seed replaced by one derived from (seed, kind, lag)."""
-    derived = int(np.random.SeedSequence((int(mode.seed), kind, lag)).generate_state(1)[0])
-    return replace(mode, seed=derived)
+def _reseeded(threshold: ThresholdMode, *key: int) -> ThresholdMode:
+    """threshold, or under cross-validation a copy seeded from SeedSequence(key).
+
+    The one derivation of a cross-validation seed: threshold_levels keys
+    it by (seed, kind, lag), run_replication by (seed, example, n, rep, 7).
+    """
+    if not isinstance(threshold, CvThreshold):
+        return threshold
+    derived = int(np.random.SeedSequence(tuple(int(k) for k in key)).generate_state(1)[0])
+    return replace(threshold, seed=derived)
 
 
 def threshold_levels(
@@ -130,7 +136,8 @@ def threshold_levels(
         return [level for _ in lags]
     if isinstance(threshold, CvThreshold):
         estimate = cv_threshold_pair if kind else cv_threshold_autocov
-        return [estimate(series, lag, _cv_plan(threshold, kind, lag)) for lag in lags]
+        seed = threshold.seed
+        return [estimate(series, lag, _reseeded(threshold, seed, kind, lag)) for lag in lags]
     return None
 
 
@@ -396,32 +403,6 @@ def ratio_select(scores, c0: float = 0.75, shift: float | None = None) -> int:
     return int(np.argmax(lead / lag)) + 1
 
 
-class _UnionFind:
-    """Union-find over 1..q with path compression and union by rank."""
-
-    def __init__(self, q: int):
-        self.parent = list(range(q + 1))
-        self.rank = [0] * (q + 1)
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-
-
 def group_columns(edges, q: int) -> list[list[int]]:
     """Connected components of the pair graph over columns 1..q.
 
@@ -440,17 +421,24 @@ def group_columns(edges, q: int) -> list[list[int]]:
     """
     if q < 1:
         raise InvalidInput(f"q must be positive, got {q}")
-    uf = _UnionFind(q)
+    parent = list(range(q + 1))
+
+    def root(x: int) -> int:
+        # path halving: each visited node skips to its grandparent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
     for edge in edges:
         i, j = int(edge[0]), int(edge[1])
         if not (1 <= i <= q and 1 <= j <= q):
             raise InvalidInput(f"edge ({i}, {j}) falls outside 1..{q}")
         if i == j:
             raise InvalidInput(f"edge ({i}, {j}) must join two distinct columns")
-        uf.union(i, j)
+        parent[root(i)] = root(j)
     members: dict[int, list[int]] = {}
     for col in range(1, q + 1):
-        members.setdefault(uf.find(col), []).append(col)
+        members.setdefault(root(col), []).append(col)
     return sorted((sorted(g) for g in members.values()), key=lambda g: g[0])
 
 

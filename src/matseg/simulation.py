@@ -11,12 +11,7 @@ import numpy as np
 
 from .errors import InvalidInput, InvalidState, MatsegError
 from .linalg import subspace_distance
-from .segmentation import (
-    CvThreshold,
-    SegmentationConfig,
-    SegmentationResult,
-    segment,
-)
+from .segmentation import SegmentationConfig, SegmentationResult, _reseeded, segment
 from .series import MatrixSeries
 
 BURN_IN = 200
@@ -299,15 +294,6 @@ class ExperimentReport:
     rows: list[ExperimentRow]
 
 
-def _rep_config(cfg: SegmentationConfig, seed: int, example: int, n: int, rep: int) -> SegmentationConfig:
-    if not isinstance(cfg.threshold, CvThreshold):
-        return cfg
-    derived = int(
-        np.random.SeedSequence((int(seed), example, n, rep, 7)).generate_state(1)[0]
-    )
-    return replace(cfg, threshold=replace(cfg.threshold, seed=derived))
-
-
 def run_replication(
     example: int, n: int, rep: int, cfg: SegmentationConfig, seed: int
 ) -> tuple[int, str, float]:
@@ -325,7 +311,8 @@ def run_replication(
     rng = np.random.default_rng((int(seed), example, n, rep))
     series, truth = gen_example(example, n, rng)
     try:
-        result = segment(series, _rep_config(cfg, seed, example, n, rep))
+        cfg = replace(cfg, threshold=_reseeded(cfg.threshold, seed, example, n, rep, 7))
+        result = segment(series, cfg)
     except MatsegError:
         return rep, "failed", float("nan")
     label = classify_segmentation(result, truth)
@@ -333,10 +320,6 @@ def run_replication(
         return rep, label, float("nan")
     d_bar = mean_subspace_error(result.a_hat, truth, result.standardizer)
     return rep, label, d_bar
-
-
-def _run_replication_args(args) -> tuple[int, str, float]:
-    return run_replication(*args)
 
 
 def run_experiment(
@@ -388,8 +371,7 @@ def run_experiment(
             outcomes = [run_replication(*t) for t in tasks]
         else:
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(_run_replication_args, tasks))
-        outcomes.sort(key=lambda t: t[0])
+                outcomes = list(pool.map(run_replication, *zip(*tasks)))
         labels = [label for _, label, _ in outcomes]
         d_bars = np.array([d for _, label, d in outcomes if label == CORRECT])
         n_correct = labels.count(CORRECT)

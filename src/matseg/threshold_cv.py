@@ -78,42 +78,29 @@ def threshold_grid(values, grid_size: int = 32) -> np.ndarray:
     return np.concatenate(([0.0], np.quantile(mags, levels), [mags.max()]))
 
 
-def _split_lag_cov(series: MatrixSeries, indices: np.ndarray, lag: int, width: int) -> np.ndarray:
-    """Reference body of split_row_autocov (width q) and split_pair_product (width p q).
-
-    Centres by the full-sample mean, flattens each time slice to rows of
-    width entries, sums c_{t+lag}' c_t over the given t (a term whose lead
-    index t + lag falls past the end counts as zero) and divides by the
-    subsample size times the row count p q / width.  It forms its own
-    product, so the cross-validation can be checked against it.
-    """
-    data = series.data
-    idx = np.asarray(indices, dtype=int)
-    centered = data - data.mean(axis=0)
-    valid = idx[idx + lag <= series.n - 1]
-    lead = centered[valid + lag].reshape(-1, width)
-    base = centered[valid].reshape(-1, width)
-    return (lead.T @ base) / (idx.size * (series.p * series.q // width))
-
-
 def split_row_autocov(series: MatrixSeries, indices: np.ndarray, k: int) -> np.ndarray:
     """Row-averaged autocovariance at lag k over a time subsample, shape (q, q).
 
-    The part estimate that cv_threshold_autocov risks: see _split_lag_cov.
-    Over every time point it is row_autocov.
+    The part estimate that cv_threshold_autocov risks: the series'
+    _lag_product at width q, centred by the full-sample mean, summed over
+    the given t (a term whose lead index t + k falls past the end counts
+    as zero) and divided by the subsample size times p.  Over every time
+    point it is row_autocov.
     """
-    return _split_lag_cov(series, indices, k, series.q)
+    idx = np.asarray(indices, dtype=int)
+    return _lag_product(_center(series.data), k, series.q, idx) / (idx.size * series.p)
 
 
 def split_pair_product(series: MatrixSeries, indices: np.ndarray, h: int) -> np.ndarray:
     """Row-pair cross-covariances at lag h over a time subsample, shape (p q, p q).
 
-    The part estimate that cv_threshold_pair risks: see _split_lag_cov.
-    Entry [(i, a), (j, b)] averages c_{t+h}[i, a] * c_t[j, b] over the
-    subsample; over every time point it is pair_autocov_all flattened to
-    rows (i, a) and columns (j, b).
+    The part estimate that cv_threshold_pair risks: as split_row_autocov,
+    at width p q and divided by the subsample size.  Entry [(i, a), (j, b)]
+    averages c_{t+h}[i, a] * c_t[j, b] over the subsample; over every time
+    point it is pair_autocov_all flattened to rows (i, a) and columns (j, b).
     """
-    return _split_lag_cov(series, indices, h, series.p * series.q)
+    idx = np.asarray(indices, dtype=int)
+    return _lag_product(_center(series.data), h, series.p * series.q, idx) / idx.size
 
 
 def _grid_risk(first: np.ndarray, second: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -135,6 +135,18 @@ def test_segment_flag_values_echoed_in_document(tmp_path):
     assert len(doc["u_per_lag"]) == 3
 
 
+def test_segment_defaults_are_the_config_defaults(tmp_path):
+    series_path = tmp_path / "ex1.txt"
+    result_path = tmp_path / "ex1.json"
+    assert _run(["simulate", "--example", 1, "--n", 120, "--out", series_path]) == 0
+    assert _run(["segment", series_path, "--out", result_path]) == 0
+    assert mio.read_result(result_path)["config"] == mio.config_to_doc(SegmentationConfig())
+    argv = ["segment", series_path, "--out", result_path, "--threshold", "cv", "--seed", 3]
+    assert _run(argv) == 0
+    cfg = mio.config_from_doc(mio.read_result(result_path)["config"])
+    assert cfg == SegmentationConfig(threshold=CvThreshold(seed=3))
+
+
 def test_correlogram_layout_and_noise_floor(tmp_path):
     rng = np.random.default_rng((910, 0))
     series_path = tmp_path / "wn.txt"

@@ -213,6 +213,27 @@ def test_hard_threshold_applies_to_trailing_axes():
             assert np.array_equal(out[a, b], single)
 
 
+def test_hard_threshold_allocating_and_out_forms_are_bit_identical():
+    rng = np.random.default_rng(16)
+    stack = rng.standard_normal((2, 3, 4, 4))
+    stack[0, 0, 0, 1], stack[0, 0, 1, 1], stack[0, 1, 2, 2] = np.nan, -0.0, 0.0
+    stack[1, 2, 3, 0], stack[1, 2, 0, 3] = 0.5, -0.5
+    flat = np.array([[np.nan, -0.0, 0.0], [0.5, -0.5, 1e-300]])
+    for m in (stack, flat):
+        for u in (0.0, 0.5, 2.0):
+            for keep in (False, True):
+                got = hard_threshold(m, u, keep_diagonal=keep)
+                into = hard_threshold(m, u, keep_diagonal=keep, out=np.full(m.shape, 7.0))
+                assert not np.shares_memory(got, m)
+                assert got.tobytes() == into.tobytes()
+                # the masked definition, with the sign of every zero and NaN kept
+                want = np.where(np.abs(m) < u, 0.0, m)
+                if keep:
+                    diag = np.eye(m.shape[-2], m.shape[-1], dtype=bool)
+                    want = np.where(diag, m, want)
+                assert got.tobytes() == want.tobytes()
+
+
 def test_hard_threshold_rejects_bad_threshold():
     with pytest.raises(InvalidInput):
         hard_threshold(np.eye(2), -0.1)

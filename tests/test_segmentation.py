@@ -21,15 +21,20 @@ from matseg.linalg import sym_eig
 from matseg.segmentation import (
     CvThreshold,
     _component_scales,
-    _cv_plan,
     _definite_level,
+    _reseeded,
     group_columns,
     lag_scores,
     ratio_select,
     standardize,
     threshold_levels,
 )
-from matseg.simulation import classify_segmentation, run_experiment
+from matseg.simulation import (
+    classify_segmentation,
+    mean_subspace_error,
+    run_experiment,
+    run_replication,
+)
 from matseg.threshold_cv import cv_threshold_autocov, cv_threshold_pair
 from oracles import brute_pair_scores, brute_univariate_corr, dfs_components
 
@@ -301,15 +306,42 @@ def test_threshold_levels_per_mode_and_kind():
     assert threshold_levels(fixed, series, 1, range(4)) == [0.1] * 4
     assert threshold_levels(fixed, series, 0, []) == []
     mode = CvThreshold(n_splits=3, grid_size=8, seed=11)
-    autocov = [cv_threshold_autocov(series, k, _cv_plan(mode, 0, k)) for k in lags]
-    pair = [cv_threshold_pair(series, h, _cv_plan(mode, 1, h)) for h in lags]
+    autocov = [cv_threshold_autocov(series, k, _reseeded(mode, mode.seed, 0, k)) for k in lags]
+    pair = [cv_threshold_pair(series, h, _reseeded(mode, mode.seed, 1, h)) for h in lags]
     assert threshold_levels(mode, series, 0, lags) == autocov
     assert threshold_levels(mode, series, 1, lags) == pair
     # the kind and the lag both enter the split seed
-    assert _cv_plan(mode, 0, 2).seed != _cv_plan(mode, 1, 2).seed
-    assert _cv_plan(mode, 0, 2).seed != _cv_plan(mode, 0, 5).seed
+    assert _reseeded(mode, mode.seed, 0, 2).seed != _reseeded(mode, mode.seed, 1, 2).seed
+    assert _reseeded(mode, mode.seed, 0, 2).seed != _reseeded(mode, mode.seed, 0, 5).seed
     with pytest.raises(InvalidInput):
         threshold_levels(fixed, series, 2, lags)
+
+
+def _derived_seed(*key):
+    return int(np.random.SeedSequence(key).generate_state(1)[0])
+
+
+def test_cv_reseed_keys_are_pinned():
+    # threshold_levels keys each lag's splits by (seed, kind, lag)
+    rng = np.random.default_rng(48)
+    series = _random_series(rng, 40, 2, 3)
+    mode = CvThreshold(n_splits=3, grid_size=8, seed=11)
+    for kind, estimate in ((0, cv_threshold_autocov), (1, cv_threshold_pair)):
+        plans = [CvThreshold(3, 8, _derived_seed(11, kind, lag)) for lag in (1, 3)]
+        want = [estimate(series, lag, plan) for lag, plan in zip((1, 3), plans)]
+        assert threshold_levels(mode, series, kind, [1, 3]) == want
+    # run_replication keys its configuration by (seed, example, n, rep, 7)
+    seed, example, n, rep = 5, 1, 150, 3
+    cfg = SegmentationConfig(threshold=CvThreshold(n_splits=3, grid_size=8, seed=99))
+    series, truth = gen_example(example, n, np.random.default_rng((seed, example, n, rep)))
+    reseeded = CvThreshold(3, 8, _derived_seed(seed, example, n, rep, 7))
+    result = segment(series, SegmentationConfig(threshold=reseeded))
+    assert classify_segmentation(result, truth) == "correct"
+    d_bar = mean_subspace_error(result.a_hat, truth, result.standardizer)
+    assert run_replication(example, n, rep, cfg, seed) == (rep, "correct", d_bar)
+    # the other modes pass through as the same objects
+    for other in (NoThreshold(), FixedThreshold(u=0.3, v=0.1)):
+        assert _reseeded(other, seed, example, n, rep, 7) is other
 
 
 def _ar1_series(shift):
@@ -524,6 +556,7 @@ def test_group_columns_index_errors():
 
 def test_group_columns_matches_dfs_oracle():
     rng = np.random.default_rng(43)
+    cases = []
     for _ in range(120):
         q = int(rng.integers(2, 10))
         n_edges = int(rng.integers(0, 12))
@@ -533,6 +566,12 @@ def test_group_columns_matches_dfs_oracle():
             j = int(rng.integers(1, q + 1))
             if i != j:
                 edges.append((i, j))
+        cases.append((edges, q))
+    # deep trees: a reversed chain and a star over 3000 columns
+    big = 3000
+    cases.append(([(c + 1, c) for c in range(big - 1, 0, -1)], big))
+    cases.append(([(c, 1) for c in range(2, big + 1)], big))
+    for edges, q in cases:
         assert group_columns(edges, q) == dfs_components(edges, q)
 
 
