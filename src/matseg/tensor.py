@@ -25,38 +25,32 @@ from .series import MatrixSeries, TensorSeries
 
 
 def _unfold_series(data: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-m unfolding of every tensor in an (n, p1, ..., pr) array, 1-based mode.
+    """Mode-m matrix series of an (n, p1, ..., pr) array, 1-based mode.
 
-    Each tensor becomes a (p_mode, prod of the other dims) matrix whose
-    columns are its mode-m fibers, the other indices running over the
-    columns with the lowest-numbered mode fastest.
+    Returns a C-ordered (n, prod of the other dims, p_mode) array: each
+    tensor's mode-m unfolding, transposed so that the columns are mode m's
+    indices and the rows run over the other modes, lowest-numbered fastest.
     """
-    n = data.shape[0]
-    order = data.ndim - 1
-    moved = np.moveaxis(data, mode, 1)
-    # reversing the trailing axes before a C-order reshape flattens them in
+    rest = [a for a in range(1, data.ndim) if a != mode]
+    # reversing the other axes before a C-order reshape flattens them in
     # Fortran order, i.e. lowest-numbered remaining mode fastest
-    rest = list(range(2, order + 1))
-    arranged = moved.transpose(0, 1, *rest[::-1])
-    return arranged.reshape(n, data.shape[mode], -1)
+    arranged = np.ascontiguousarray(data.transpose(0, *rest[::-1], mode))
+    return arranged.reshape(data.shape[0], -1, data.shape[mode])
 
 
 def _fold_series(mat: np.ndarray, mode: int, dims: tuple[int, ...]) -> np.ndarray:
     """Inverse of :func:`_unfold_series`."""
-    n = mat.shape[0]
-    order = len(dims)
-    rest = dims[: mode - 1] + dims[mode:]
-    arranged = mat.reshape((n, dims[mode - 1]) + rest[::-1])
-    moved = arranged.transpose(0, 1, *range(order, 1, -1))
-    return np.moveaxis(moved, 1, mode)
+    axes = [0] + [a for a in range(len(dims), 0, -1) if a != mode] + [mode]
+    arranged = mat.reshape([mat.shape[0]] + [dims[a - 1] for a in axes[1:]])
+    return arranged.transpose(np.argsort(axes))
 
 
 def _layout_axes(mode: int, order: int) -> list[int]:
     """Axes of a (rows, rows, cols, cols) mode-m pair tensor, as tensor axes.
 
     Lead tensor axis a is labelled a and base axis a is labelled order + a.
-    The rows run over the other modes, lowest fastest, as in
-    :func:`_unfold_series`; the columns are mode m.
+    The rows run over the other modes, lowest-numbered fastest, and the
+    columns are mode m, as in :func:`_unfold_series`.
     """
     rest = [a for a in range(order) if a != mode - 1][::-1]
     return rest + [order + a for a in rest] + [mode - 1, order + mode - 1]
@@ -203,9 +197,10 @@ def sequential_segment(
 ) -> tuple[list[SegmentationResult], TensorSeries]:
     """Segment every mode of a tensor series, one mode at a time.
 
-    Each sweep unfolds the current series at mode m, transposes so the
-    mode-m indices are the columns, finds the matrix segmentation's maps
-    and folds the transformed series back before moving to the next mode.
+    Each sweep unfolds the current series into the matrix series whose
+    columns are the mode-m indices (see :func:`_unfold_series`), finds the
+    matrix segmentation's maps and folds the transformed series back before
+    moving to the next mode.
     Every mode unfolding re-indexes the same vectorised tensor, so the pair
     scores of all modes then come from one row-pair product per lag (see
     :func:`_shared_scores`) rather than one per lag and mode.  A mode of
@@ -236,15 +231,13 @@ def sequential_segment(
     stages, transformed = [], []
     for mode in range(1, series.order + 1):
         with _mode_stage(mode):
-            maps, standardized = _maps(
-                MatrixSeries(np.swapaxes(_unfold_series(data, mode), 1, 2)), cfg
-            )
+            maps, standardized = _maps(MatrixSeries(_unfold_series(data, mode)), cfg)
         if mode == 1:
             centered = _center(standardized.data)
         stages.append(maps)
         transformed.append(MatrixSeries(standardized.data @ maps.gamma))
         del standardized
-        data = _fold_series(np.swapaxes(transformed[-1].data, 1, 2), mode, dims)
+        data = _fold_series(transformed[-1].data, mode, dims)
     matrices = _shared_scores(centered, stages, dims, cfg.m) if scored else [None] * len(dims)
     del centered
     results = [_grouped(*step, cfg) for step in zip(stages, matrices, transformed)]

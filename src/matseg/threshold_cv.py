@@ -58,7 +58,7 @@ def split_indices(mode: CvThreshold, n: int) -> list[tuple[np.ndarray, np.ndarra
     for s in range(mode.n_splits):
         rng = np.random.default_rng((int(mode.seed), s))
         in_first = np.zeros(n, dtype=bool)
-        in_first[rng.choice(n, size=n1, replace=False)] = True
+        in_first[rng.choice(n, size=n1, replace=False, shuffle=False)] = True
         out.append((np.flatnonzero(in_first), np.flatnonzero(~in_first)))
     return out
 

@@ -39,8 +39,8 @@ def _counting_tensor():
 
 
 def _unfold(tensor, mode):
-    # the mode unfolding of a single tensor, through the series unfolding
-    return _unfold_series(tensor[None], mode)[0]
+    # the mode unfolding of a single tensor: the series layout's transpose
+    return _unfold_series(tensor[None], mode)[0].T
 
 
 def test_matricize_counting_hand_case():
@@ -61,7 +61,7 @@ def test_tensorize_inverts_hand_case():
     for mode in (1, 2, 3):
         assert np.array_equal(_fold_series(_unfold_series(t[None], mode), mode, (2, 2, 2))[0], t)
     m = np.arange(12.0).reshape(3, 4)
-    assert np.array_equal(_fold_series(m.T[None], 2, (3, 4))[0], m)
+    assert np.array_equal(_fold_series(m[None], 2, (3, 4))[0], m)
 
 
 def test_matricize_round_trip_and_oracle():
@@ -73,9 +73,10 @@ def test_matricize_round_trip_and_oracle():
         mode = int(rng.integers(1, r + 1))
         unfolded = _unfold_series(data, mode)
         other = int(np.prod(dims)) // dims[mode - 1]
-        assert unfolded.shape == (data.shape[0], dims[mode - 1], other)
+        assert unfolded.shape == (data.shape[0], other, dims[mode - 1])
+        assert unfolded.flags.c_contiguous
         for t in range(data.shape[0]):
-            assert np.array_equal(unfolded[t], brute_matricize(data[t], mode))
+            assert np.array_equal(unfolded[t].T, brute_matricize(data[t], mode))
         assert np.array_equal(_fold_series(unfolded, mode, dims), data)
 
 
@@ -192,9 +193,9 @@ def _per_mode_segment(series, cfg):
     # segmentation of each mode's unfolding of the carried series
     data, dims, results = series.data, series.dims, []
     for mode in range(1, series.order + 1):
-        result = segment(MatrixSeries(np.swapaxes(_unfold_series(data, mode), 1, 2)), cfg)
+        result = segment(MatrixSeries(_unfold_series(data, mode)), cfg)
         results.append(result)
-        data = _fold_series(np.swapaxes(result.transformed.data, 1, 2), mode, dims)
+        data = _fold_series(result.transformed.data, mode, dims)
     return results, data
 
 
@@ -249,12 +250,12 @@ def _score_inputs(series, cfg):
     # hands them to _shared_scores
     data, dims, stages = series.data, series.dims, []
     for mode in range(1, series.order + 1):
-        unfolded = MatrixSeries(np.swapaxes(_unfold_series(data, mode), 1, 2))
+        unfolded = MatrixSeries(_unfold_series(data, mode))
         maps, standardized = _maps(unfolded, cfg)
         if mode == 1:
             centered = _center(standardized.data)
         stages.append(maps)
-        data = _fold_series(np.swapaxes(standardized.data @ maps.gamma, 1, 2), mode, dims)
+        data = _fold_series(standardized.data @ maps.gamma, mode, dims)
     return centered, stages
 
 
@@ -359,7 +360,7 @@ def test_relayout_reindexes_one_lag_product_into_every_mode():
     for dims in [(2, 3), (3, 4, 5), (2, 1, 3, 2)]:
         x = rng.standard_normal((1,) + dims)
         products = {
-            mode: _pair_lag_products(np.swapaxes(_unfold_series(x, mode), 1, 2), 0)
+            mode: _pair_lag_products(_unfold_series(x, mode), 0)
             for mode in range(1, len(dims) + 1)
         }
         for src in products:

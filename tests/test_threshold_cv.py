@@ -58,7 +58,7 @@ def test_split_indices_shape_and_determinism():
 
 def test_split_indices_match_sort_and_setdiff_construction():
     # the mask construction must reproduce the sorted draw and its complement
-    for seed, n in [(0, 8), (3, 40), (17, 100), (2**40 + 5, 257), (9, 1500)]:
+    for seed, n in [(0, 8), (3, 40), (17, 100), (2**40 + 5, 257), (9, 1500), (5, 12000)]:
         plan = CvThreshold(n_splits=4, grid_size=8, seed=seed)
         n1, _ = split_sizes(n)
         for s, (first, second) in enumerate(split_indices(plan, n)):
