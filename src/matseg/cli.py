@@ -34,7 +34,6 @@ from .simulation import gen_example, run_experiment
 from .tensor import sequential_segment
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
@@ -48,9 +47,9 @@ _NUMERICAL_ERRORS = (
 
 
 def _parse_threshold_spec(spec: str):
-    """Validate a --threshold value; returns a template filled in with the seed later."""
+    """Validate a --threshold value; returns the mode as a function of the seed."""
     if spec == "none":
-        return ("none",)
+        return lambda seed: NoThreshold()
     if spec.startswith("fixed:"):
         parts = spec[len("fixed:") :].split(",")
         if len(parts) != 2:
@@ -61,17 +60,17 @@ def _parse_threshold_spec(spec: str):
             u, v = float(parts[0]), float(parts[1])
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad fixed threshold values in {spec!r}")
-        return ("fixed", u, v)
-    if spec == "cv" or spec.startswith("cv:"):
-        if spec == "cv":
-            return ("cv", CvThreshold().n_splits)
+        return lambda seed: FixedThreshold(u=u, v=v)
+    if spec == "cv":
+        return lambda seed: CvThreshold(seed=seed)
+    if spec.startswith("cv:"):
         try:
             splits = int(spec[len("cv:") :])
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad split count in {spec!r}")
         if splits < 1:
             raise argparse.ArgumentTypeError("cv split count must be positive")
-        return ("cv", splits)
+        return lambda seed: CvThreshold(n_splits=splits, seed=seed)
     raise argparse.ArgumentTypeError(
         f"threshold must be none, fixed:U,V or cv[:N], got {spec!r}"
     )
@@ -97,21 +96,13 @@ def _positive_int(tok: str) -> int:
     return value
 
 
-def _threshold_mode(template, seed: int):
-    if template[0] == "none":
-        return NoThreshold()
-    if template[0] == "fixed":
-        return FixedThreshold(u=template[1], v=template[2])
-    return CvThreshold(n_splits=template[1], seed=seed)
-
-
 def _config_from_args(args) -> SegmentationConfig:
     return SegmentationConfig(
         k0=args.k0,
         m=args.m,
         c0=args.c0,
         ratio_shift=args.ratio_shift,
-        threshold=_threshold_mode(args.threshold, args.seed),
+        threshold=args.threshold(args.seed),
         eps=args.eps,
     )
 
@@ -130,7 +121,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threshold",
         type=_parse_threshold_spec,
-        default=("none",),
+        default="none",
         help="none, fixed:U,V or cv[:N]",
     )
     parser.add_argument("--eps", type=float, default=defaults.eps, help="eigenvalue floor")
@@ -257,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     cor.add_argument(
         "--threshold",
         type=_parse_threshold_spec,
-        default=("none",),
+        default="none",
         help="none, fixed:U,V or cv[:N]",
     )
     cor.add_argument("--seed", type=int, default=0)
@@ -298,7 +289,7 @@ def main(argv=None) -> int:
                     args.input,
                     args.out,
                     args.m,
-                    _threshold_mode(args.threshold, args.seed),
+                    args.threshold(args.seed),
                     args.gamma,
                 )
             elif args.command == "replicate":

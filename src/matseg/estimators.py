@@ -43,8 +43,8 @@ def row_autocov(series: MatrixSeries, k: int) -> np.ndarray:
 def _center(data: np.ndarray) -> np.ndarray:
     """data minus its full-sample mean, in a fresh C-ordered buffer.
 
-    The buffer is C-ordered even when data is a strided view (as every
-    tensor mode is), so the reshapes in _lag_product are views.  Every
+    The buffer is C-ordered even when data is a strided view a caller
+    passed in, so the reshapes in _lag_product are views.  Every
     estimator and its cross-validation centres here.
     """
     return np.subtract(data, data.mean(axis=0), out=np.empty(data.shape))

@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from typing import Any, NoReturn
+from dataclasses import asdict
+from typing import Any, NoReturn, get_type_hints
 
 import numpy as np
 
@@ -220,45 +221,28 @@ def read_truth(path) -> GroundTruth:
     return GroundTruth(example=example, a=np.stack(a_rows), partition=groups)
 
 
+# each threshold mode's name in a result document; its fields are the dataclass's
+_THRESHOLD_MODES = {"none": NoThreshold, "fixed": FixedThreshold, "cv": CvThreshold}
+
+
 def _threshold_to_doc(mode) -> dict[str, Any]:
-    if isinstance(mode, NoThreshold):
-        return {"mode": "none"}
-    if isinstance(mode, FixedThreshold):
-        return {"mode": "fixed", "u": mode.u, "v": mode.v}
-    if isinstance(mode, CvThreshold):
-        return {
-            "mode": "cv",
-            "n_splits": mode.n_splits,
-            "grid_size": mode.grid_size,
-            "seed": mode.seed,
-        }
+    for name, cls in _THRESHOLD_MODES.items():
+        if isinstance(mode, cls):
+            return {"mode": name, **asdict(mode)}
     raise InvalidInput(f"unknown threshold mode {mode!r}")
 
 
 def threshold_from_doc(doc: dict[str, Any]):
-    kind = doc.get("mode")
-    if kind == "none":
-        return NoThreshold()
-    if kind == "fixed":
-        return FixedThreshold(u=float(doc["u"]), v=float(doc["v"]))
-    if kind == "cv":
-        return CvThreshold(
-            n_splits=int(doc["n_splits"]),
-            grid_size=int(doc["grid_size"]),
-            seed=int(doc["seed"]),
-        )
-    raise InvalidInput(f"unknown threshold mode {kind!r}")
+    name = doc.get("mode")
+    if not isinstance(name, str) or name not in _THRESHOLD_MODES:
+        raise InvalidInput(f"unknown threshold mode {name!r}")
+    cls = _THRESHOLD_MODES[name]
+    # each field is read as its annotated type: float levels, int counts and seed
+    return cls(**{key: kind(doc[key]) for key, kind in get_type_hints(cls).items()})
 
 
 def config_to_doc(cfg: SegmentationConfig) -> dict[str, Any]:
-    return {
-        "k0": cfg.k0,
-        "m": cfg.m,
-        "c0": cfg.c0,
-        "ratio_shift": cfg.ratio_shift,
-        "threshold": _threshold_to_doc(cfg.threshold),
-        "eps": cfg.eps,
-    }
+    return {**asdict(cfg), "threshold": _threshold_to_doc(cfg.threshold)}
 
 
 def config_from_doc(doc: dict[str, Any]) -> SegmentationConfig:

@@ -127,7 +127,7 @@ def threshold_levels(
     kind 0 selects the row-averaged autocovariances (levels u), kind 1 the
     row-pair cross-covariances (levels v).  Cross-validation chooses its
     levels on the given series; NoThreshold gives None.  The pipeline reads
-    the threshold mode here only.
+    the threshold mode here and in _reseeded only.
     """
     if kind not in (0, 1):
         raise InvalidInput(f"kind must be 0 or 1, got {kind}")

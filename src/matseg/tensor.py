@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import contextvars
-import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
@@ -153,37 +153,37 @@ def _shared_scores(
     product is mode 1's (rows, rows, cols, cols) pair tensor; see
     :func:`_lag_mode_scores`.  Lag 0 runs here: it fixes every mode's
     denominators and raises the data errors.  Lags 1..m then run on
-    two threads, and their scores are folded in by maximum, which is
-    exact, so the result does not depend on the scheduling.
+    two threads, each of which takes one buffer set when it starts and
+    scores every lag it is handed in that set.  The scores are folded in
+    by maximum, which is exact, so the result does not depend on the
+    scheduling.
     """
     _check_score_window(m, centered.shape[0])
     size = int(np.prod(dims)) ** 2
     count = 2 if all(maps.v_per_lag is None for maps in stages) else 3
     # every thread writes into buffers allocated here: glibc keeps the blocks
     # a thread frees in that thread's own arena, which would raise the peak
-    free = queue.SimpleQueue()
-    for _ in range(_WORKERS):
-        free.put([np.empty(size) for _ in range(count)])
+    free = [[np.empty(size) for _ in range(count)] for _ in range(_WORKERS)]
     denoms = [None] * len(dims)
     best = [np.zeros((q, q)) for q in dims]
+    own = threading.local()
+
+    def take():
+        own.buffers = free.pop()
 
     def score(h):
-        buffers = free.get()
-        try:
-            return _lag_mode_scores(centered, stages, dims, h, denoms, buffers)
-        finally:
-            free.put(buffers)
+        return _lag_mode_scores(centered, stages, dims, h, denoms, own.buffers)
 
     def fold(scores):
         for matrix, lag in zip(best, scores):
             if lag is not None:
                 np.maximum(matrix, lag, out=matrix)
 
-    fold(score(0))
+    fold(_lag_mode_scores(centered, stages, dims, 0, denoms, free[-1]))
     lags = range(1, m + 1)
     # each task runs in a copy of this context, so numpy's errstate holds there
     runs = [contextvars.copy_context().run for _ in lags]
-    with ThreadPoolExecutor(_WORKERS) as pool:
+    with ThreadPoolExecutor(_WORKERS, initializer=take) as pool:
         for scores in pool.map(lambda run, h: run(score, h), runs, lags):
             fold(scores)
     for matrix in best:

@@ -7,10 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
+from matseg import cli
 from matseg import io as mio
 from matseg.cli import _thread_count, main
 from matseg.segmentation import (
     CvThreshold,
+    FixedThreshold,
+    NoThreshold,
     SegmentationConfig,
     lag_scores,
     threshold_levels,
@@ -135,16 +138,30 @@ def test_segment_flag_values_echoed_in_document(tmp_path):
     assert len(doc["u_per_lag"]) == 3
 
 
-def test_segment_defaults_are_the_config_defaults(tmp_path):
+def test_segment_defaults_are_the_config_defaults(tmp_path, monkeypatch):
     series_path = tmp_path / "ex1.txt"
     result_path = tmp_path / "ex1.json"
     assert _run(["simulate", "--example", 1, "--n", 120, "--out", series_path]) == 0
     assert _run(["segment", series_path, "--out", result_path]) == 0
     assert mio.read_result(result_path)["config"] == mio.config_to_doc(SegmentationConfig())
-    argv = ["segment", series_path, "--out", result_path, "--threshold", "cv", "--seed", 3]
-    assert _run(argv) == 0
-    cfg = mio.config_from_doc(mio.read_result(result_path)["config"])
-    assert cfg == SegmentationConfig(threshold=CvThreshold(seed=3))
+    modes = [
+        ([], NoThreshold()),
+        (["--threshold", "none"], NoThreshold()),
+        (["--threshold", "fixed:0.1,0.05"], FixedThreshold(u=0.1, v=0.05)),
+        (["--threshold", "cv"], CvThreshold(seed=3)),
+        (["--threshold", "cv:4"], CvThreshold(n_splits=4, seed=3)),
+    ]
+    for flags, mode in modes:
+        argv = ["segment", series_path, "--out", result_path, "--seed", 3] + flags
+        assert _run(argv) == 0
+        cfg = mio.config_from_doc(mio.read_result(result_path)["config"])
+        assert cfg == SegmentationConfig(threshold=mode)
+    # the correlogram command receives the same modes
+    received = []
+    monkeypatch.setattr(cli, "cmd_correlogram", lambda *args: received.append(args[3]))
+    for flags, _ in modes:
+        assert _run(["correlogram", series_path, "--out", result_path, "--seed", 3] + flags) == 0
+    assert received == [mode for _, mode in modes]
 
 
 def test_correlogram_layout_and_noise_floor(tmp_path):

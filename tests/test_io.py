@@ -1,5 +1,6 @@
 """Round trips and parse failures for every file format the tool emits."""
 
+import json
 import math
 
 import numpy as np
@@ -330,16 +331,30 @@ def test_read_truth_parse_errors(tmp_path):
 
 
 def test_threshold_doc_round_trip():
-    modes = [
-        NoThreshold(),
-        FixedThreshold(u=0.3, v=0.1),
-        CvThreshold(n_splits=7, grid_size=12, seed=42),
+    cases = [
+        (NoThreshold(), {"mode": "none"}),
+        (FixedThreshold(u=0.3, v=0.1), {"mode": "fixed", "u": 0.3, "v": 0.1}),
+        (
+            CvThreshold(n_splits=7, grid_size=12, seed=42),
+            {"mode": "cv", "n_splits": 7, "grid_size": 12, "seed": 42},
+        ),
     ]
-    for mode in modes:
+    for mode, want in cases:
         doc = io._threshold_to_doc(mode)
+        # the written keys and their order, not only the values
+        assert list(doc.items()) == list(want.items())
         assert io.threshold_from_doc(doc) == mode
+    # levels read back as floats and counts as ints, whatever the JSON held
+    read = io.threshold_from_doc({"mode": "fixed", "u": 1, "v": "0.5"})
+    assert type(read.u) is float and type(read.v) is float
+    read = io.threshold_from_doc({"mode": "cv", "n_splits": 3.0, "grid_size": "8", "seed": 1})
+    assert read == CvThreshold(n_splits=3, grid_size=8, seed=1)
+    assert all(type(x) is int for x in (read.n_splits, read.grid_size, read.seed))
+    for name in ("zzz", None, ["cv"], {"cv": 1}):
+        with pytest.raises(InvalidInput):
+            io.threshold_from_doc({"mode": name})
     with pytest.raises(InvalidInput):
-        io.threshold_from_doc({"mode": "zzz"})
+        io.threshold_from_doc({})
     with pytest.raises(InvalidInput):
         io._threshold_to_doc("junk")
 
@@ -353,6 +368,18 @@ def test_config_doc_round_trip():
     ]
     for cfg in configs:
         assert io.config_from_doc(io.config_to_doc(cfg)) == cfg
+    # the written keys, their order and their bytes
+    doc = io.config_to_doc(configs[3])
+    assert list(doc) == ["k0", "m", "c0", "ratio_shift", "threshold", "eps"]
+    assert list(doc["threshold"]) == ["mode", "n_splits", "grid_size", "seed"]
+    assert json.dumps(doc) == (
+        '{"k0": 2, "m": 10, "c0": 0.75, "ratio_shift": null, "threshold": '
+        '{"mode": "cv", "n_splits": 4, "grid_size": 8, "seed": 9}, "eps": 1e-10}'
+    )
+    assert json.dumps(io.config_to_doc(configs[1])) == (
+        '{"k0": 5, "m": 3, "c0": 0.6, "ratio_shift": 1.0, "threshold": {"mode": "none"}, '
+        '"eps": 1e-10}'
+    )
 
 
 def test_matrix_result_document_round_trip(tmp_path):

@@ -301,6 +301,14 @@ def test_pooled_scores_hold_with_more_workers_than_cores(monkeypatch):
     cfg = SegmentationConfig(threshold=FixedThreshold(0.05, 0.03))
     centered, stages = _score_inputs(series, cfg)
     monkeypatch.setattr(tensor, "_WORKERS", 4)
+    used = []
+    lag_mode_scores = tensor._lag_mode_scores
+
+    def recording(centered, stages, dims, h, denoms, buffers):
+        used.append((h, threading.get_ident(), id(buffers[0])))
+        return lag_mode_scores(centered, stages, dims, h, denoms, buffers)
+
+    monkeypatch.setattr(tensor, "_lag_mode_scores", recording)
     pooled = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -316,6 +324,11 @@ def test_pooled_scores_hold_with_more_workers_than_cores(monkeypatch):
     serial = _serial_scores(centered, stages, series.dims, cfg.m)
     for got, want in zip(pooled[0], serial):
         assert np.array_equal(got, want)
+    # each pool thread scores every lag it runs in one buffer set of its own
+    assert sorted(h for h, _, _ in used) == list(range(cfg.m + 1))
+    pairs = {(thread, buffers) for h, thread, buffers in used if h > 0}
+    assert len({thread for thread, _ in pairs}) == len(pairs)
+    assert len({buffers for _, buffers in pairs}) == len(pairs)
 
 
 def test_pooled_lags_see_the_callers_errstate(monkeypatch):
