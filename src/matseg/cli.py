@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -97,14 +98,8 @@ def _positive_int(tok: str) -> int:
 
 
 def _config_from_args(args) -> SegmentationConfig:
-    return SegmentationConfig(
-        k0=args.k0,
-        m=args.m,
-        c0=args.c0,
-        ratio_shift=args.ratio_shift,
-        threshold=args.threshold(args.seed),
-        eps=args.eps,
-    )
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(SegmentationConfig)}
+    return SegmentationConfig(**{**values, "threshold": args.threshold(args.seed)})
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

@@ -18,28 +18,16 @@ def _validate_square(S, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is positive.
-
-    Magnitude ties resolve to the lowest row index.
-    """
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        idx = int(np.argmax(np.abs(out[:, k])))
-        if out[idx, k] < 0:
-            out[:, k] = -out[:, k]
-    return out
-
-
 def sym_eig(S) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of a symmetric matrix with a fixed output convention.
 
-    The input is symmetrized as (S + S.T) / 2 before factorization.
-    Eigenvalues are returned in descending order.  Each eigenvector is
-    flipped so that its largest-magnitude entry is positive, and runs of
-    exactly equal eigenvalues are ordered by descending lexicographic
-    comparison of the sign-fixed eigenvectors, so the output is
-    deterministic for identical input bytes.
+    The input is symmetrized as (S + S.T) / 2 before factorization.  Each
+    eigenvector is flipped so that its largest-magnitude entry (the first
+    one, under a magnitude tie) is positive.  The columns are then ordered
+    by one sort key: descending eigenvalue, and within a run of exactly
+    equal eigenvalues descending lexicographic order of the sign-fixed
+    eigenvectors.  The output is therefore deterministic for identical
+    input bytes.
 
     Parameters
     ----------
@@ -51,7 +39,8 @@ def sym_eig(S) -> tuple[np.ndarray, np.ndarray]:
     values : ndarray, shape (q,)
         Eigenvalues, descending.
     vectors : ndarray, shape (q, q)
-        Orthonormal eigenvectors as columns, aligned with ``values``.
+        Orthonormal eigenvectors as columns, aligned with ``values``,
+        C-ordered.
     """
     arr = _validate_square(S)
     sym = 0.5 * (arr + arr.T)
@@ -59,22 +48,13 @@ def sym_eig(S) -> tuple[np.ndarray, np.ndarray]:
         vals, vecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigen-decomposition failed: {exc}") from exc
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = _fix_signs(vecs[:, order])
-
-    # Reorder within runs of exactly equal eigenvalues for a canonical output.
-    start = 0
-    q = vals.shape[0]
-    while start < q:
-        stop = start + 1
-        while stop < q and vals[stop] == vals[start]:
-            stop += 1
-        if stop - start > 1:
-            cols = sorted(range(start, stop), key=lambda c: tuple(-vecs[:, c]))
-            vecs[:, start:stop] = vecs[:, cols]
-        start = stop
-    return vals, vecs
+    if vals.size == 0:
+        return vals, vecs
+    peak = vecs[np.abs(vecs).argmax(axis=0), np.arange(vals.size)]
+    vecs = np.where(peak < 0, -vecs, vecs)
+    # lexsort's last key is the primary one: -vals, then -vecs row by row
+    order = np.lexsort((*-vecs[::-1], -vals))
+    return vals[order], vecs.take(order, axis=1)
 
 
 def inv_sqrt_psd(S, eps: float = 1e-10) -> np.ndarray:

@@ -149,15 +149,16 @@ def standardize(
     """Rescale the series so its row-averaged lag-0 covariance is the identity.
 
     Given a level u0 the lag-0 covariance is hard-thresholded with its
-    diagonal kept before the inverse square root is taken.
+    diagonal kept before the inverse square root is taken.  u0 is applied
+    as given; :func:`segment` first raises its level until the thresholded
+    matrix is positive definite and keeps the level used as ``u_lag0``.
 
     Parameters
     ----------
     series : MatrixSeries
         Raw observed series.
     u0 : float or None
-        Threshold level for the lag-0 covariance, as resolved by
-        :func:`_definite_level`; None leaves it raw.
+        Threshold level for the lag-0 covariance; None leaves it raw.
     eps : float
         Relative eigenvalue floor for the inverse square root.
 
@@ -444,7 +445,7 @@ def group_columns(edges, q: int) -> list[list[int]]:
 
 @dataclass
 class _Maps:
-    """The maps of one segmentation run and the levels behind them."""
+    """The maps of one run and the levels behind them, each a SegmentationResult field."""
 
     standardizer: np.ndarray
     gamma: np.ndarray
@@ -496,16 +497,12 @@ def _grouped(
     groups = group_columns(edges, q)
     a_hat = [maps.gamma[:, [c - 1 for c in g]] for g in groups]
     return SegmentationResult(
-        gamma=maps.gamma,
-        standardizer=maps.standardizer,
+        **vars(maps),
         transformed=transformed,
         scores=pairs,
         selected_edges=d_hat,
         groups=groups,
         a_hat=a_hat,
-        u_lag0=maps.u_lag0,
-        u_per_lag=maps.u_per_lag,
-        v_per_lag=maps.v_per_lag,
     )
 
 

@@ -236,6 +236,36 @@ def brute_threshold_risk(first: np.ndarray, second: np.ndarray, u: float) -> flo
     return acc
 
 
+def brute_sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical eigenpairs by per-column sign flips and tie-run re-sorts.
+
+    Eigenvalues descend.  Each vector is flipped so that its first
+    largest-magnitude entry is positive, and each run of exactly equal
+    eigenvalues is ordered by descending lexicographic comparison of the
+    sign-fixed vectors.
+    """
+    arr = np.asarray(matrix, dtype=float)
+    vals, vecs = np.linalg.eigh(0.5 * (arr + arr.T))
+    order = np.argsort(-vals, kind="stable")
+    vals = vals[order]
+    vecs = vecs[:, order].copy()
+    q = vals.shape[0]
+    for k in range(q):
+        idx = int(np.argmax(np.abs(vecs[:, k])))
+        if vecs[idx, k] < 0:
+            vecs[:, k] = -vecs[:, k]
+    start = 0
+    while start < q:
+        stop = start + 1
+        while stop < q and vals[stop] == vals[start]:
+            stop += 1
+        if stop - start > 1:
+            cols = sorted(range(start, stop), key=lambda c: tuple(-vecs[:, c]))
+            vecs[:, start:stop] = vecs[:, cols]
+        start = stop
+    return vals, vecs
+
+
 def brute_matricize(tensor: np.ndarray, mode: int) -> np.ndarray:
     """Mode unfolding by explicit index enumeration, lowest remaining mode fastest."""
     dims = tensor.shape

@@ -5,7 +5,7 @@ import pytest
 
 from matseg import DegenerateCovariance, InvalidInput
 from matseg.linalg import inv_sqrt_psd, subspace_distance, sym_eig
-from oracles import brute_subspace_distance
+from oracles import brute_subspace_distance, brute_sym_eig
 
 RT2 = np.sqrt(2.0)
 
@@ -53,10 +53,42 @@ def test_sym_eig_deterministic_for_identical_bytes():
     assert np.array_equal(first[1], second[1])
 
 
+def _tie_family(rng, q):
+    """A random symmetric matrix and three with tied eigenvalues, zeros among them."""
+    base = rng.standard_normal((q, q))
+    basis, _ = np.linalg.qr(rng.standard_normal((q, q)))
+    repeated = rng.choice([-1.0, 0.0, 2.0], size=q)
+    diagonal = rng.permutation(rng.integers(-2, 3, size=q)).astype(float)
+    return [
+        base + base.T,
+        float(rng.integers(-3, 4)) * np.eye(q),
+        basis @ np.diag(repeated) @ basis.T,
+        np.diag(diagonal),
+    ]
+
+
 def test_sym_eig_equal_eigenvalue_ties_are_canonical():
     values, vectors = sym_eig(np.eye(4))
     assert np.allclose(values, np.ones(4))
     assert np.array_equal(vectors, np.eye(4))
+    zero_ties = 0
+    for seed in range(40):
+        rng = np.random.default_rng((seed, 19))
+        for q in range(1, 12):
+            for matrix in _tie_family(rng, q):
+                values, vectors = sym_eig(matrix)
+                want_values, want_vectors = brute_sym_eig(matrix)
+                assert values.tobytes() == want_values.tobytes()
+                assert vectors.tobytes() == want_vectors.tobytes()
+                assert vectors.flags.c_contiguous
+                zero_ties += int(np.sum(values == 0.0) > 1)
+    assert zero_ties > 100
+
+
+def test_sym_eig_of_the_empty_matrix_is_empty():
+    values, vectors = sym_eig(np.zeros((0, 0)))
+    assert values.shape == (0,)
+    assert vectors.shape == (0, 0)
 
 
 def test_sym_eig_rejects_bad_input():

@@ -602,6 +602,7 @@ def test_segment_result_internal_consistency():
         res = segment(series)
         q = series.q
         assert np.max(np.abs(res.gamma.T @ res.gamma - np.eye(q))) <= 1e-8
+        assert res.gamma.flags.c_contiguous
         assert len(res.scores) == q * (q - 1) // 2
         values = [s for (_, _, s) in res.scores]
         assert values == sorted(values, reverse=True)

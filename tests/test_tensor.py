@@ -101,6 +101,7 @@ def test_sequential_segment_returns_one_result_per_mode():
     for res, dim in zip(results, series.dims):
         assert res.gamma.shape == (dim, dim)
         assert np.max(np.abs(res.gamma.T @ res.gamma - np.eye(dim))) <= 1e-8
+        assert res.gamma.flags.c_contiguous
 
 
 def test_sequential_segment_matrix_case_matches_manual_composition():
@@ -211,6 +212,7 @@ def test_sequential_segment_matches_per_mode_segment(threshold, dims, n):
     assert np.array_equal(final.data, expected_final)
     for mode, (got, want) in enumerate(zip(results, expected), start=1):
         assert np.array_equal(got.gamma, want.gamma)
+        assert got.gamma.flags.c_contiguous
         assert np.array_equal(got.standardizer, want.standardizer)
         assert np.array_equal(got.transformed.data, want.transformed.data)
         assert (got.u_lag0, got.u_per_lag, got.v_per_lag) == (
