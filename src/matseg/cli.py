@@ -102,7 +102,18 @@ def _config_from_args(args) -> SegmentationConfig:
     return SegmentationConfig(**{**values, "threshold": args.threshold(args.seed)})
 
 
+def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--threshold", type=_parse_threshold_spec, default="none", help="none, fixed:U,V or cv[:N]"
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0, help="nonnegative seed of the cv splits; for replicate, "
+        "also the root seed of every replication's series"
+    )
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    _add_threshold_flags(parser)
     defaults = SegmentationConfig()
     parser.add_argument("--k0", type=int, default=defaults.k0, help="lags in the eigen statistic")
     parser.add_argument("--m", type=int, default=defaults.m, help="largest lag for pair scores")
@@ -112,12 +123,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=defaults.ratio_shift,
         help="additive stabilizer for the ratio rule (default: none)",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=_parse_threshold_spec,
-        default="none",
-        help="none, fixed:U,V or cv[:N]",
     )
     parser.add_argument("--eps", type=float, default=defaults.eps, help="eigenvalue floor")
 
@@ -232,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     seg = sub.add_parser("segment", help="segment a series file")
     seg.add_argument("input")
     seg.add_argument("--out", required=True)
-    seg.add_argument("--seed", type=int, default=0, help="seed for cross-validated thresholds")
     _add_config_flags(seg)
 
     cor = sub.add_parser("correlogram", help="per-pair maximal absolute correlations")
@@ -240,19 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     cor.add_argument("--out", required=True)
     cor.add_argument("--m", type=int, default=SegmentationConfig().m)
     cor.add_argument("--gamma", default=None, help="result document whose transformation to apply")
-    cor.add_argument(
-        "--threshold",
-        type=_parse_threshold_spec,
-        default="none",
-        help="none, fixed:U,V or cv[:N]",
-    )
-    cor.add_argument("--seed", type=int, default=0)
+    _add_threshold_flags(cor)
 
     rep = sub.add_parser("replicate", help="replicate a benchmark scenario")
     rep.add_argument("--example", type=int, required=True, choices=(1, 2, 3))
     rep.add_argument("--n", type=_parse_n_list, required=True, help="comma-separated lengths")
     rep.add_argument("--reps", type=_positive_int, required=True)
-    rep.add_argument("--seed", type=int, default=0)
     rep.add_argument("--threads", type=int, default=None)
     rep.add_argument("--out", required=True)
     _add_config_flags(rep)

@@ -6,10 +6,13 @@ written file reproduces the array bit for bit.
 
 Every reader takes UTF-8 text whose lines end in LF, CRLF or CR, and
 parses floats with numpy's text parser, so all of them accept one float
-grammar. A series reader parses the data lines in one numpy pass streamed
-from the open file, without a copy of its text; only a file that pass
-refuses is read again line by line, to name the first line at fault.
-Bytes that are not UTF-8 end in a ParseError at their line.
+grammar. Truth, correlogram and report files are record files, one
+header line and then records, read by `_records` and written by
+`_write_records`; empty lines are skipped but counted. A series reader
+parses the data lines in one numpy pass streamed from the open file,
+without a copy of its text; only a file that pass refuses is read again
+line by line, to name the first line at fault. Bytes that are not UTF-8
+end in a ParseError at their line.
 """
 
 from __future__ import annotations
@@ -35,6 +38,13 @@ from .simulation import ExperimentReport, GroundTruth
 
 MAGIC_PREFIX = "matseg"
 FORMAT_VERSION = 1
+REPORT_HEADER = "example,n,reps,correct,incorrect,near_complete,d_bar_median"
+# each record file's header line, keyed by the kind a wrong header's error names
+_HEADERS = {
+    "truth": f"{MAGIC_PREFIX},truth,{FORMAT_VERSION}",
+    "correlogram": "i,j,h,max_abs_corr",
+    "report": REPORT_HEADER,
+}
 
 
 def _fmt(x: float) -> str:
@@ -95,6 +105,21 @@ def _read_lines(path) -> list[str]:
     return lines
 
 
+def _records(path, kind: str) -> list[tuple[int, str]]:
+    """The numbered non-empty lines after the header line; a wrong header is a ParseError at 1."""
+    lines = _read_lines(path)
+    if lines[:1] != [_HEADERS[kind]]:
+        raise ParseError(1, f"not a {kind} file")
+    return [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line]
+
+
+def _write_records(path, kind: str, records) -> None:
+    """Write the kind's header line, then one line per record: its fields joined by commas."""
+    lines = [_HEADERS[kind], *(",".join(map(str, fields)) for fields in records)]
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
 def write_series(path, series: MatrixSeries | TensorSeries) -> None:
     """Write a matrix or tensor series file."""
     if isinstance(series, MatrixSeries):
@@ -125,23 +150,14 @@ def _series_header(head: list[str]) -> tuple[str, int, tuple[int, ...]]:
         raise ParseError(1, f"unsupported format version {magic[2]!r}")
     if len(head) < 2:
         raise ParseError(2, "missing dimension line")
-    kind = magic[1]
-    header = head[1].split(",")
-    if kind == "matrix":
-        if len(header) != 3:
-            raise ParseError(2, f"expected n,p,q, found {head[1]!r}")
-        n, p, q = _parse_ints(header, 2)
-        if n < 2 or p < 1 or q < 1:
-            raise ParseError(2, f"bad dimensions n={n}, p={p}, q={q}")
-        return kind, n, (p, q)
-    if len(header) < 4:
-        raise ParseError(2, f"expected n,r,p1,...,pr, found {head[1]!r}")
-    values = _parse_ints(header, 2)
-    n, order = values[0], values[1]
-    dims = tuple(values[2:])
-    if order < 2 or len(dims) != order or any(d < 1 for d in dims) or n < 2:
-        raise ParseError(2, f"bad dimensions {head[1]!r}")
-    return kind, n, dims
+    # one rule for both kinds: n, then r (implied 2 for a matrix), then r dims
+    values = _parse_ints(head[1].split(","), 2)
+    if magic[1] == "matrix":
+        values[1:1] = [2]
+    if len(values) < 4 or values[1] != len(values) - 2 or values[0] < 2 or min(values[2:]) < 1:
+        form = "n,p,q" if magic[1] == "matrix" else "n,r,p1,...,pr"
+        raise ParseError(2, f"expected {form} with n >= 2 and positive dims, found {head[1]!r}")
+    return magic[1], values[0], tuple(values[2:])
 
 
 def _raise_series_fault(path) -> NoReturn:
@@ -183,30 +199,24 @@ def read_series(path) -> MatrixSeries | TensorSeries:
 
 def write_truth(path, truth: GroundTruth) -> None:
     """Write the generating transformation and partition of a simulated series."""
-    q = truth.a.shape[0]
-    lines = [f"{MAGIC_PREFIX},truth,{FORMAT_VERSION}", f"{q},{truth.q1},{truth.example}"]
-    for group in truth.partition:
-        lines.append("group," + ",".join(str(c) for c in group))
-    for row in np.asarray(truth.a, dtype=float):
-        lines.append("a," + ",".join(_fmt(v) for v in row))
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    records = [(truth.a.shape[0], truth.q1, truth.example)]
+    records += [("group", *group) for group in truth.partition]
+    records += [("a", *map(_fmt, row)) for row in np.asarray(truth.a, dtype=float)]
+    _write_records(path, "truth", records)
 
 
 def read_truth(path) -> GroundTruth:
     """Read a truth sidecar file."""
-    lines = _read_lines(path)
-    if not lines or lines[0] != f"{MAGIC_PREFIX},truth,{FORMAT_VERSION}":
-        raise ParseError(1, "not a truth file")
-    header = _parse_ints(lines[1].split(","), 2) if len(lines) > 1 else []
+    records = _records(path, "truth")
+    # the q,q1,example record must sit at line 2
+    lineno, line = records[0] if records else (0, "")
+    header = _parse_ints(line.split(","), 2) if lineno == 2 else []
     if len(header) != 3:
         raise ParseError(2, "expected q,q1,example")
     q, q1, example = header
     groups = []
     a_rows = []
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line:
-            continue
+    for lineno, line in records[1:]:
         tag, _, rest = line.partition(",")
         if tag == "group":
             groups.append(_parse_ints(rest.split(","), lineno))
@@ -309,22 +319,13 @@ def read_result(path) -> dict[str, Any]:
 
 def write_correlogram_csv(path, rows) -> None:
     """Write (i, j, h, max_abs_corr) records."""
-    lines = ["i,j,h,max_abs_corr"]
-    for i, j, h, value in rows:
-        lines.append(f"{i},{j},{h},{_fmt(value)}")
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_records(path, "correlogram", [(i, j, h, _fmt(value)) for i, j, h, value in rows])
 
 
 def read_correlogram_csv(path) -> list[tuple[int, int, int, float]]:
     """Read (i, j, h, max_abs_corr) records back from a correlogram file."""
-    lines = _read_lines(path)
-    if not lines or lines[0] != "i,j,h,max_abs_corr":
-        raise ParseError(1, "not a correlogram file")
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
+    for lineno, line in _records(path, "correlogram"):
         parts = line.split(",")
         if len(parts) != 4:
             raise ParseError(lineno, f"expected 4 values, found {len(parts)}")
@@ -333,40 +334,21 @@ def read_correlogram_csv(path) -> list[tuple[int, int, int, float]]:
     return rows
 
 
-REPORT_HEADER = "example,n,reps,correct,incorrect,near_complete,d_bar_median"
-
-
 def write_report_csv(path, report: ExperimentReport) -> None:
     """Write one aggregate line per series length."""
-    lines = [REPORT_HEADER]
+    records = []
     for row in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row.example),
-                    str(row.n),
-                    str(row.reps),
-                    _fmt(row.correct_prop),
-                    _fmt(row.incorrect_prop),
-                    _fmt(row.near_complete_prop),
-                    # no correct run, no median: an empty field, never nan
-                    "" if math.isnan(row.d_bar_median) else _fmt(row.d_bar_median),
-                ]
-            )
-        )
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        props = map(_fmt, (row.correct_prop, row.incorrect_prop, row.near_complete_prop))
+        # no correct run, no median: an empty field, never nan
+        median = "" if math.isnan(row.d_bar_median) else _fmt(row.d_bar_median)
+        records.append((row.example, row.n, row.reps, *props, median))
+    _write_records(path, "report", records)
 
 
 def read_report_csv(path) -> list[tuple[int, int, int, float, float, float, float]]:
     """Read the aggregate lines back; an empty median (no correct run) reads as NaN."""
-    lines = _read_lines(path)
-    if not lines or lines[0] != REPORT_HEADER:
-        raise ParseError(1, "not a report file")
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
+    for lineno, line in _records(path, "report"):
         parts = line.split(",")
         if len(parts) != 7:
             raise ParseError(lineno, f"expected 7 values, found {len(parts)}")

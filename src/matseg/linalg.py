@@ -80,6 +80,8 @@ def inv_sqrt_psd(S, eps: float = 1e-10) -> np.ndarray:
     if not 0 < eps < 1:
         raise InvalidInput(f"eps must be in (0, 1), got {eps}")
     vals, vecs = sym_eig(S)
+    if vals.size == 0:
+        raise InvalidInput("matrix is empty")
     lam_max = vals[0]
     if lam_max <= 0:
         raise DegenerateCovariance("matrix has no positive eigenvalue")

@@ -9,10 +9,17 @@ import numpy as np
 from .errors import InvalidInput
 
 
-def _as_float_array(data, name: str) -> np.ndarray:
+def _series_array(data) -> np.ndarray:
+    """Series data as a float array: finite, (n, p1, ..., pr) with r >= 2, n >= 2, all p >= 1."""
     arr = np.asarray(data, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"{name} contains non-finite entries")
+        raise InvalidInput("series data contains non-finite entries")
+    if arr.ndim < 3:
+        raise InvalidInput(f"series data must have at least 3 axes, got shape {arr.shape}")
+    if arr.shape[0] < 2:
+        raise InvalidInput(f"series length must be at least 2, got {arr.shape[0]}")
+    if min(arr.shape[1:]) < 1:
+        raise InvalidInput(f"series dimensions must be positive, got {arr.shape[1:]}")
     return arr
 
 
@@ -27,14 +34,9 @@ class MatrixSeries:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = _as_float_array(self.data, "series data")
+        arr = _series_array(self.data)
         if arr.ndim != 3:
-            raise InvalidInput(f"series data must be 3-dimensional, got shape {arr.shape}")
-        n, p, q = arr.shape
-        if n < 2:
-            raise InvalidInput(f"series length must be at least 2, got {n}")
-        if p < 1 or q < 1:
-            raise InvalidInput(f"matrix dimensions must be positive, got {p} x {q}")
+            raise InvalidInput(f"matrix series data must have 3 axes, got shape {arr.shape}")
         object.__setattr__(self, "data", arr)
 
     @property
@@ -57,16 +59,7 @@ class TensorSeries:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = _as_float_array(self.data, "series data")
-        if arr.ndim < 3:
-            raise InvalidInput(
-                f"tensor series data must have at least 3 axes, got shape {arr.shape}"
-            )
-        if arr.shape[0] < 2:
-            raise InvalidInput(f"series length must be at least 2, got {arr.shape[0]}")
-        if any(d < 1 for d in arr.shape[1:]):
-            raise InvalidInput(f"tensor dimensions must be positive, got {arr.shape[1:]}")
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _series_array(self.data))
 
     @property
     def n(self) -> int:

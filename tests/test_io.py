@@ -161,6 +161,21 @@ def test_read_series_parse_errors(tmp_path):
         io.read_series(_write(path, "matseg,tensor,1\n4,1,3\n"))
     assert exc.value.line == 2
 
+    # one dimension-line rule for both kinds: n >= 2, r dims (r = 2 for a
+    # matrix), each positive; the data lines would fit the widths read
+    for text in (
+        "matseg,matrix,1\n2,1,2,2\n1.0,2.0,3.0,4.0\n5.0,6.0,7.0,8.0\n",
+        "matseg,matrix,1\n2,0,2\n\n\n",
+        "matseg,matrix,1\n2,2,0\n\n\n",
+        "matseg,tensor,1\n2,2,0,3\n\n\n",
+        "matseg,tensor,1\n2,3,1,2\n1.0,2.0\n3.0,4.0\n",
+        "matseg,tensor,1\n2,2,1,2,1\n1.0,2.0\n3.0,4.0\n",
+        "matseg,tensor,1\n1,2,1,2\n1.0,2.0\n",
+    ):
+        with pytest.raises(ParseError) as exc:
+            io.read_series(_write(path, text))
+        assert exc.value.line == 2, text
+
     with pytest.raises(ParseError) as exc:
         io.read_series(_write(path, "matseg,tensor,1\n4,3\n"))
     assert exc.value.line == 2
@@ -213,6 +228,80 @@ def test_read_series_crlf_and_cr_line_ends_are_bit_identical(tmp_path):
         for ending in (b"\r\n", b"\r"):
             other.write_bytes(lf.read_bytes().replace(b"\n", ending))
             assert io.read_series(other).data.tobytes() == series.data.tobytes()
+
+
+def test_every_reader_takes_lf_crlf_and_cr_line_ends(tmp_path):
+    # each good file has a blank line between two records; its bad twin has a
+    # fault after that blank line, whose line number counts it
+    cases = [
+        (
+            io.read_series,
+            "matseg,matrix,1\n2,1,2\n1.0,2.0\n\n3.0,4.0\n",
+            "matseg,matrix,1\n2,1,2\n1.0,2.0\n\n3.0,x\n",
+            5,
+        ),
+        (
+            io.read_truth,
+            "matseg,truth,1\n2,1,1\ngroup,1,2\n\na,1.0,0.5\na,-0.25,2.0\n",
+            "matseg,truth,1\n2,1,1\ngroup,1,2\n\na,1.0,0.5\nblob,1\n",
+            6,
+        ),
+        (
+            io.read_correlogram_csv,
+            "i,j,h,max_abs_corr\n1,1,0,1.0\n\n1,2,0,0.25\n",
+            "i,j,h,max_abs_corr\n1,1,0,1.0\n\n1,2,0,x\n",
+            4,
+        ),
+        (
+            io.read_report_csv,
+            io.REPORT_HEADER + "\n1,100,8,0.5,0.5,0.0,0.1\n\n1,200,8,1.0,0.0,0.0,\n",
+            io.REPORT_HEADER + "\n1,100,8,0.5,0.5,0.0,0.1\n\n1,200,8\n",
+            4,
+        ),
+        (
+            io.read_result,
+            '{"format": "matseg-result",\n\n"kind": "matrix"}\n',
+            '{"format": "matseg-result",\n\n"kind": matrix}\n',
+            3,
+        ),
+    ]
+
+    def content(value):
+        # a series or truth holds an array, whose bytes repr does not show
+        arrays = [getattr(value, name) for name in ("data", "a") if hasattr(value, name)]
+        return repr(value), [a.tobytes() for a in arrays]
+
+    path = tmp_path / "file"
+    for reader, good, bad, line in cases:
+        want = content(reader(_write(path, good)))
+        for ending in (b"\n", b"\r\n", b"\r"):
+            path.write_bytes(good.encode().replace(b"\n", ending))
+            assert content(reader(path)) == want, (reader.__name__, ending)
+            path.write_bytes(bad.encode().replace(b"\n", ending))
+            with pytest.raises(ParseError) as exc:
+                reader(path)
+            assert exc.value.line == line, (reader.__name__, ending)
+
+
+def test_series_containers_share_their_input_rules():
+    bad = {
+        "nan": np.full((4, 2, 3), np.nan),
+        "inf": np.full((4, 2, 3), np.inf),
+        "two axes": np.zeros((4, 3)),
+        "n = 1": np.zeros((1, 2, 3)),
+        "zero dim": np.zeros((4, 0, 3)),
+        "zero last dim": np.zeros((4, 2, 0)),
+    }
+    for data in bad.values():
+        for container in (MatrixSeries, TensorSeries):
+            with pytest.raises(InvalidInput):
+                container(data)
+    # a matrix series holds exactly 3 axes; a tensor series may hold more
+    with pytest.raises(InvalidInput):
+        MatrixSeries(np.zeros((4, 2, 3, 2)))
+    assert TensorSeries(np.zeros((4, 2, 3, 2))).dims == (2, 3, 2)
+    series = MatrixSeries([[[1, 2, 3]], [[4, 5, 6]]])
+    assert series.data.dtype == float and (series.n, series.p, series.q) == (2, 1, 3)
 
 
 def test_read_series_matches_per_token_oracle(tmp_path):

@@ -132,6 +132,12 @@ def test_inv_sqrt_psd_errors():
         inv_sqrt_psd(np.eye(2), eps=0.0)
 
 
+def test_inv_sqrt_psd_of_the_empty_matrix_is_invalid_input():
+    # sym_eig returns an empty spectrum here; inv_sqrt_psd has no largest eigenvalue
+    with pytest.raises(InvalidInput, match="empty"):
+        inv_sqrt_psd(np.zeros((0, 0)))
+
+
 def test_subspace_distance_hand_cases():
     e1 = np.array([[1.0], [0.0]])
     e2 = np.array([[0.0], [1.0]])

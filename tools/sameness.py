@@ -16,7 +16,10 @@ fixed:0.05,0.03 and cv:5 and its correlogram taken raw, with --gamma (from
 its unthresholded result) and under cv:3; the order-3 tensor is segmented
 under none, cv:3 and fixed:0.05,0.03, the order-4 one (whose size-1 mode
 is carried with the identity gamma) under none and fixed:0.05,0.03; three
-small replicate reports close the list, one of them with no correct run.
+small replicate reports follow, one of them with no correct run.  Last,
+``segment`` runs on three malformed series files (a bad dimension line, a
+bad float and a byte that is not UTF-8), so their exit codes and error
+records enter the manifest too.
 Commands run one at a time in a temporary directory, with relative paths.
 """
 
@@ -37,6 +40,11 @@ LENGTHS = (60, 300, 1500)
 SEGMENT_THRESHOLDS = ("none", "fixed:0.05,0.03", "cv:5")
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TENSORS = {"tensor.txt": (3, 4, 5), "tensor4.txt": (2, 1, 3, 2)}
+MALFORMED = {
+    "bad_dims.txt": b"matseg,matrix,1\n2,1,2,2\n1.0,2.0,3.0,4.0\n5.0,6.0,7.0,8.0\n",
+    "bad_float.txt": b"matseg,matrix,1\n2,1,2\n1.0,2.0\n3.0,x\n",
+    "bad_utf8.txt": b"matseg,matrix,1\n2,1,2\n1.0,2.0\n3.0,4.0\xff\n",
+}
 
 
 def write_tensor(path: Path, dims: tuple[int, ...]) -> None:
@@ -86,6 +94,9 @@ def commands() -> list[tuple[list[str], list[str]]]:
         csv = f"report{i}.csv"
         argv = ["replicate"] + flags + ["--seed", "0", "--threads", "1", "--out", csv]
         out.append((argv, [csv]))
+    for name in MALFORMED:
+        result = f"{name}.seg.json"
+        out.append((["segment", name, "--out", result], [result]))
     return out
 
 
@@ -114,6 +125,8 @@ def main() -> int:
         work = Path(tmp)
         for name, dims in TENSORS.items():
             write_tensor(work / name, dims)
+        for name, raw in MALFORMED.items():
+            (work / name).write_bytes(raw)
         for argv, written in commands():
             run = subprocess.run(
                 [sys.executable, "-m", "matseg.cli"] + argv,
