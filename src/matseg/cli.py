@@ -112,11 +112,17 @@ def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_m_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--m", type=int, default=SegmentationConfig().m, help="largest lag for pair scores"
+    )
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     _add_threshold_flags(parser)
     defaults = SegmentationConfig()
     parser.add_argument("--k0", type=int, default=defaults.k0, help="lags in the eigen statistic")
-    parser.add_argument("--m", type=int, default=defaults.m, help="largest lag for pair scores")
+    _add_m_flag(parser)
     parser.add_argument("--c0", type=float, default=defaults.c0, help="ratio-rule search fraction")
     parser.add_argument(
         "--ratio-shift",
@@ -139,49 +145,45 @@ def _thread_count(value: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def cmd_simulate(example: int, n: int, seed: int, out: str, truth_out: str | None = None) -> None:
+def cmd_simulate(args: argparse.Namespace) -> None:
     """Generate one simulated series and its truth sidecar."""
-    if seed < 0:
-        raise InvalidInput(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng((int(seed), int(example), int(n)))
-    series, truth = gen_example(example, n, rng)
-    mio.write_series(out, series)
-    mio.write_truth(truth_out if truth_out else out + ".truth", truth)
+    if args.seed < 0:
+        raise InvalidInput(f"seed must be nonnegative, got {args.seed}")
+    rng = np.random.default_rng((int(args.seed), int(args.example), int(args.n)))
+    series, truth = gen_example(args.example, args.n, rng)
+    mio.write_series(args.out, series)
+    mio.write_truth(args.truth_out if args.truth_out else args.out + ".truth", truth)
 
 
-def cmd_segment(in_path: str, out_path: str, cfg: SegmentationConfig) -> None:
+def cmd_segment(args: argparse.Namespace) -> None:
     """Segment a series file and write the result document."""
-    series = mio.read_series(in_path)
+    cfg = _config_from_args(args)
+    series = mio.read_series(args.input)
     if isinstance(series, TensorSeries):
         results, _ = sequential_segment(series, cfg)
         doc = mio.result_document(cfg, mode_results=results)
     else:
         doc = mio.result_document(cfg, matrix_result=segment(series, cfg))
-    mio.write_result(out_path, doc)
+    mio.write_result(args.out, doc)
 
 
-def cmd_correlogram(
-    in_path: str,
-    out_path: str,
-    m: int,
-    threshold,
-    gamma_path: str | None = None,
-) -> None:
+def cmd_correlogram(args: argparse.Namespace) -> None:
     """Write the per-lag maximal absolute correlations of every column pair.
 
     These are the pair scores of the segmentation broken down by lag
     (:func:`matseg.segmentation.lag_scores`), taken on the series itself or,
-    given a result document, on its transformed series.
+    given a result document (``--gamma``), on its transformed series.
     """
-    series = mio.read_series(in_path)
+    threshold = args.threshold(args.seed)
+    series = mio.read_series(args.input)
     if not isinstance(series, MatrixSeries):
         raise InvalidInput("the correlogram command requires a matrix series")
+    m = args.m
     if m < 0 or m > series.n - 2:
         raise InvalidInput(f"m must satisfy 0 <= m <= n - 2, got {m}")
-    q = series.q
-    data = series.data
-    if gamma_path is not None:
-        doc = mio.read_result(gamma_path)
+    q, data = series.q, series.data
+    if args.gamma is not None:
+        doc = mio.read_result(args.gamma)
         if doc.get("kind") != "matrix":
             raise InvalidInput("only matrix result documents carry a usable gamma")
         try:
@@ -203,21 +205,14 @@ def cmd_correlogram(
         for j in range(i, q)
         for h in range(m + 1)
     ]
-    mio.write_correlogram_csv(out_path, rows)
+    mio.write_correlogram_csv(args.out, rows)
 
 
-def cmd_replicate(
-    example: int,
-    n_values: list[int],
-    reps: int,
-    cfg: SegmentationConfig,
-    seed: int,
-    threads: int,
-    out_path: str,
-) -> None:
+def cmd_replicate(args: argparse.Namespace) -> None:
     """Run replications and write the aggregate report."""
-    report = run_experiment(example, n_values, reps, cfg, seed=seed, threads=threads)
-    mio.write_report_csv(out_path, report)
+    cfg, threads = _config_from_args(args), _thread_count(args.threads)
+    report = run_experiment(args.example, args.n, args.reps, cfg, seed=args.seed, threads=threads)
+    mio.write_report_csv(args.out, report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate a benchmark series")
+    sim.set_defaults(run=cmd_simulate)
     sim.add_argument("--example", type=int, required=True, choices=(1, 2, 3))
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--seed", type=int, default=0)
@@ -235,18 +231,21 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--truth-out", default=None)
 
     seg = sub.add_parser("segment", help="segment a series file")
+    seg.set_defaults(run=cmd_segment)
     seg.add_argument("input")
     seg.add_argument("--out", required=True)
     _add_config_flags(seg)
 
     cor = sub.add_parser("correlogram", help="per-pair maximal absolute correlations")
+    cor.set_defaults(run=cmd_correlogram)
     cor.add_argument("input")
     cor.add_argument("--out", required=True)
-    cor.add_argument("--m", type=int, default=SegmentationConfig().m)
+    _add_m_flag(cor)
     cor.add_argument("--gamma", default=None, help="result document whose transformation to apply")
     _add_threshold_flags(cor)
 
     rep = sub.add_parser("replicate", help="replicate a benchmark scenario")
+    rep.set_defaults(run=cmd_replicate)
     rep.add_argument("--example", type=int, required=True, choices=(1, 2, 3))
     rep.add_argument("--n", type=_parse_n_list, required=True, help="comma-separated lengths")
     rep.add_argument("--reps", type=_positive_int, required=True)
@@ -266,34 +265,13 @@ def _report_error(exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # built per call, so each subcommand runs whatever its cmd_* name holds now
+    args = build_parser().parse_args(argv)
     try:
         # an overflow in the estimators ends in a typed error below, so
         # numpy's own warnings would only print ahead of the error record
         with np.errstate(over="ignore", invalid="ignore"):
-            if args.command == "simulate":
-                cmd_simulate(args.example, args.n, args.seed, args.out, args.truth_out)
-            elif args.command == "segment":
-                cmd_segment(args.input, args.out, _config_from_args(args))
-            elif args.command == "correlogram":
-                cmd_correlogram(
-                    args.input,
-                    args.out,
-                    args.m,
-                    args.threshold(args.seed),
-                    args.gamma,
-                )
-            elif args.command == "replicate":
-                cmd_replicate(
-                    args.example,
-                    args.n,
-                    args.reps,
-                    _config_from_args(args),
-                    args.seed,
-                    _thread_count(args.threads),
-                    args.out,
-                )
+            args.run(args)
     except _NUMERICAL_ERRORS as exc:
         _report_error(exc)
         return EXIT_NUMERICAL

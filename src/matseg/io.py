@@ -78,13 +78,15 @@ def _parse_floats(token_line: str, lineno: int, expected: int) -> np.ndarray:
 
 def _parse_ints(tokens: list[str], lineno: int) -> list[int]:
     """Base-10 integers in ASCII; int() would also take other digits and `_` groups."""
+    values = []
     for tok in tokens:
-        if not tok.isascii() or "_" in tok:
-            raise ParseError(lineno, f"bad integer: {tok!r}")
-    try:
-        return [int(tok) for tok in tokens]
-    except ValueError as exc:
-        raise ParseError(lineno, f"bad integer: {exc}") from exc
+        try:
+            if not tok.isascii() or "_" in tok:
+                raise ValueError(tok)
+            values.append(int(tok))
+        except ValueError:
+            raise ParseError(lineno, f"bad integer: {tok!r}") from None
+    return values
 
 
 def _read_lines(path) -> list[str]:

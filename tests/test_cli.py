@@ -158,7 +158,9 @@ def test_segment_defaults_are_the_config_defaults(tmp_path, monkeypatch):
         assert cfg == SegmentationConfig(threshold=mode)
     # the correlogram command receives the same modes
     received = []
-    monkeypatch.setattr(cli, "cmd_correlogram", lambda *args: received.append(args[3]))
+    monkeypatch.setattr(
+        cli, "cmd_correlogram", lambda args: received.append(args.threshold(args.seed))
+    )
     for flags, _ in modes:
         assert _run(["correlogram", series_path, "--out", result_path, "--seed", 3] + flags) == 0
     assert received == [mode for _, mode in modes]
@@ -347,6 +349,56 @@ def test_usage_errors_exit_2(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_main_dispatches_through_each_module_level_handler(tmp_path, monkeypatch):
+    # main reads each cmd_* name when it runs, so a wrapper bound to that name
+    # (as the benchmark tracer binds one) receives the parsed flags
+    received = {}
+    for command in ("simulate", "segment", "correlogram", "replicate"):
+        monkeypatch.setattr(
+            cli, f"cmd_{command}", lambda args, command=command: received.setdefault(command, args)
+        )
+    out = tmp_path / "out"
+    argvs = {
+        "simulate": ["simulate", "--example", 2, "--n", 80, "--seed", 4, "--out", out],
+        "segment": ["segment", "in.txt", "--out", out, "--k0", 3, "--threshold", "cv:4"],
+        "correlogram": ["correlogram", "in.txt", "--out", out, "--m", 6, "--gamma", "g.json"],
+        "replicate": ["replicate", "--example", 3, "--n", "60,80", "--reps", 2, "--out", out],
+    }
+    for command, argv in argvs.items():
+        assert _run(argv) == 0
+        assert received[command].command == command
+    assert not out.exists()
+    assert (received["simulate"].example, received["simulate"].n) == (2, 80)
+    assert received["simulate"].seed == 4
+    assert received["segment"].input == "in.txt"
+    assert received["segment"].k0 == 3
+    assert received["segment"].threshold(5) == CvThreshold(n_splits=4, seed=5)
+    assert (received["correlogram"].m, received["correlogram"].gamma) == (6, "g.json")
+    assert received["replicate"].n == [60, 80]
+    assert (received["replicate"].reps, received["replicate"].threads) == (2, None)
+
+
+def test_correlogram_resolves_its_threshold_before_reading_the_series(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    argv = ["correlogram", missing, "--out", tmp_path / "out.csv", "--threshold", "cv"]
+    assert _run(argv + ["--seed", -1]) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "InvalidInput",
+        "message": "seed must be nonnegative, got -1",
+    }
+    assert _run(argv) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+
+
+def test_correlogram_help_explains_m(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["correlogram", "--help"])
+    assert exc.value.code == 0
+    help_lines = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()]
+    assert "--m M largest lag for pair scores" in help_lines
 
 
 def test_data_errors_exit_3_with_error_record(tmp_path, capsys):

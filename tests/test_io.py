@@ -190,6 +190,14 @@ def test_read_series_parse_errors(tmp_path):
         assert exc.value.line == 2, header
         assert "bad integer" in exc.value.reason, header
 
+    # a blank field or a trailing comma is named as a token, as a bad digit is
+    for header, token in (("", "''"), ("2,1,2,", "''"), ("\u0662,1,2", "'\u0662'")):
+        path.write_bytes(f"matseg,matrix,1\n{header}\n1.0,2.0\n3.0,4.0\n".encode())
+        with pytest.raises(ParseError) as exc:
+            io.read_series(path)
+        assert exc.value.line == 2, header
+        assert exc.value.reason == f"bad integer: {token}", header
+
 
 def test_read_series_parse_errors_name_the_line(tmp_path):
     path = tmp_path / "bad.txt"

@@ -5,7 +5,8 @@
 Every command runs as ``python -m matseg.cli`` in a fresh subprocess with
 ``PYTHONPATH=SRC_DIR`` and, by default, OpenBLAS, OpenMP and MKL on one
 thread.  Each manifest line gives the command's exit code, the sha256 of
-the files it writes and the sha256 of its stderr, then the command.  Two
+the files it writes followed by its stdout, and the sha256 of its stderr,
+then the command.  Two
 trees that behave the same print identical manifests, so ``diff`` of two
 manifests lists the commands whose output moved.
 
@@ -19,7 +20,9 @@ is carried with the identity gamma) under none and fixed:0.05,0.03; three
 small replicate reports follow, one of them with no correct run.  Last,
 ``segment`` runs on three malformed series files (a bad dimension line, a
 bad float and a byte that is not UTF-8), so their exit codes and error
-records enter the manifest too.
+records enter the manifest too, and each subcommand's ``--help`` and one
+usage error of each (exit 2) close the manifest, so the parser surface is
+compared as well.
 Commands run one at a time in a temporary directory, with relative paths.
 """
 
@@ -44,6 +47,12 @@ MALFORMED = {
     "bad_dims.txt": b"matseg,matrix,1\n2,1,2,2\n1.0,2.0,3.0,4.0\n5.0,6.0,7.0,8.0\n",
     "bad_float.txt": b"matseg,matrix,1\n2,1,2\n1.0,2.0\n3.0,x\n",
     "bad_utf8.txt": b"matseg,matrix,1\n2,1,2\n1.0,2.0\n3.0,4.0\xff\n",
+}
+USAGE_ERRORS = {
+    "simulate": ["--example", "4", "--n", "100", "--out", "x.txt"],
+    "segment": ["ex1_n60.txt", "--out", "x.json", "--threshold", "median:3"],
+    "correlogram": ["ex1_n60.txt", "--out", "x.csv", "--m", "two"],
+    "replicate": ["--example", "1", "--n", "1", "--reps", "2", "--out", "x.csv"],
 }
 
 
@@ -97,14 +106,18 @@ def commands() -> list[tuple[list[str], list[str]]]:
     for name in MALFORMED:
         result = f"{name}.seg.json"
         out.append((["segment", name, "--out", result], [result]))
+    for command, flags in USAGE_ERRORS.items():
+        out.append(([command, "--help"], []))
+        out.append(([command] + flags, []))
     return out
 
 
-def digest(paths: list[Path]) -> str:
-    """sha256 over the files in order; a missing file counts as empty."""
+def digest(paths: list[Path], stdout: bytes) -> str:
+    """sha256 over the files in order, then stdout; a missing file counts as empty."""
     h = hashlib.sha256()
     for path in paths:
         h.update(path.read_bytes() if path.exists() else b"")
+    h.update(stdout)
     return h.hexdigest()
 
 
@@ -118,7 +131,8 @@ def main() -> int:
         help="BLAS threads per command; 0 leaves the thread variables as they are",
     )
     args = parser.parse_args()
-    env = dict(os.environ, PYTHONPATH=str(Path(args.src_dir).resolve()))
+    # a fixed width, so the help text wraps the same on any terminal
+    env = dict(os.environ, PYTHONPATH=str(Path(args.src_dir).resolve()), COLUMNS="80")
     if args.blas_threads > 0:
         env.update({var: str(args.blas_threads) for var in BLAS_VARIABLES})
     with tempfile.TemporaryDirectory() as tmp:
@@ -135,7 +149,7 @@ def main() -> int:
                 capture_output=True,
             )
             err = hashlib.sha256(run.stderr).hexdigest()
-            files = digest([work / name for name in written])
+            files = digest([work / name for name in written], run.stdout)
             print(f"{run.returncode} {files} {err} {' '.join(argv)}", flush=True)
     return 0
 
