@@ -168,21 +168,19 @@ def standardize(
     standardizer : ndarray, shape (q, q)
         Symmetric matrix right-multiplied into every observation.
     """
-    return _standardize(series, u0, eps)
+    return _standardize(series, u0, eps, row_autocov(series, 0))
 
 
 def _standardize(
-    series: MatrixSeries, u0: float | None, eps: float, cov0: np.ndarray | None = None
+    series: MatrixSeries, u0: float | None, eps: float, cov0: np.ndarray
 ) -> tuple[MatrixSeries, np.ndarray]:
-    """standardize, given the raw lag-0 row covariance cov0 if it is already formed."""
+    """standardize, given the raw lag-0 row covariance cov0."""
     if series.n <= series.q:
         warnings.warn(
             f"series length {series.n} does not exceed column count {series.q}; "
             "the lag-0 covariance estimate is unreliable",
             stacklevel=3,
         )
-    if cov0 is None:
-        cov0 = row_autocov(series, 0)
     variances = np.diag(cov0)
     for idx in range(series.q):
         if variances[idx] <= 0:
@@ -460,12 +458,12 @@ def _maps(series: MatrixSeries, cfg: SegmentationConfig) -> tuple[_Maps, MatrixS
     Returns the maps and the standardized series that the pair scores are
     taken on.  A single column gets the identity rotation and no levels.
     """
+    cov0 = row_autocov(series, 0)
     if series.q == 1:
         # thresholding leaves the variance of a lone column as it is
-        standardized, standardizer = _standardize(series, None, cfg.eps)
+        standardized, standardizer = _standardize(series, None, cfg.eps, cov0)
         return _Maps(standardizer, np.eye(1)), standardized
     lag0 = threshold_levels(cfg.threshold, series, 0, [0])
-    cov0 = row_autocov(series, 0)
     u_lag0 = None if lag0 is None else _definite_level(cov0, lag0[0], cfg.eps)
     standardized, standardizer = _standardize(series, u_lag0, cfg.eps, cov0)
     u_per_lag = threshold_levels(cfg.threshold, standardized, 0, range(1, cfg.k0 + 1))

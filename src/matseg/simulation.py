@@ -348,7 +348,7 @@ def run_experiment(
     seed : int
         Root seed, >= 0; replication streams derive from (seed, example, n, rep).
     threads : int
-        Worker processes; results are identical for any value.
+        Worker processes, one pool for all lengths; any value gives the same results.
 
     Returns
     -------
@@ -364,16 +364,17 @@ def run_experiment(
     if not n_values:
         raise InvalidInput("n_values must not be empty")
     threads = max(1, int(threads))
+    tasks = [(example, n, rep, cfg, seed) for n in n_values for rep in range(reps)]
+    if threads == 1:
+        outcomes = [run_replication(*t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(run_replication, *zip(*tasks)))
     rows = []
-    for n in n_values:
-        tasks = [(example, n, rep, cfg, seed) for rep in range(reps)]
-        if threads == 1:
-            outcomes = [run_replication(*t) for t in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(run_replication, *zip(*tasks)))
-        labels = [label for _, label, _ in outcomes]
-        d_bars = np.array([d for _, label, d in outcomes if label == CORRECT])
+    for i, n in enumerate(n_values):
+        cell = outcomes[i * reps : (i + 1) * reps]
+        labels = [label for _, label, _ in cell]
+        d_bars = np.array([d for _, label, d in cell if label == CORRECT])
         n_correct = labels.count(CORRECT)
         n_near = labels.count(NEAR_COMPLETE)
         if d_bars.size:

@@ -2,7 +2,8 @@
 
 Every function evaluates its defining formula with explicit Python loops
 and shares no code with the package, so agreement between the two is a
-meaningful check rather than a tautology.
+meaningful check rather than a tautology.  The population moments of the
+benchmark generators at the end come from their closed form instead.
 """
 
 from __future__ import annotations
@@ -311,3 +312,88 @@ def brute_read_series(path) -> np.ndarray:
                 remainder //= dims[d]
             out[(t, *index)] = value
     return out
+
+
+# The benchmark generators restated, so the replay below shares no code with
+# the package: burn-in steps and, per example, the row count p and the
+# 1-based column partition.
+_BURN_IN = 200
+_EXAMPLES = {
+    1: (3, [[1, 2, 3], [4, 5], [6]]),
+    2: (6, [[1, 2, 3], [4, 5], [6]]),
+    3: (10, [[1, 2, 3, 4], [5, 6, 7], [8, 9], [10]]),
+}
+
+
+def replay_generator(seed: int, example: int, n: int, rep: int):
+    """The (phi, theta) of each group and the matrix A that one replication draws.
+
+    The stream of replication (seed, example, n, rep) is read in the
+    generator's order: per group, phi (U(-3, 3), rescaled to operator norm
+    0.9), theta (U(-1, 1)), then a (burn-in + n + len(group) + 1, p) block
+    of standard normals that is skipped; then A (U(-3, 3)) for examples 1
+    and 2.  Example 3's A is fixed, not drawn, and is returned as None.
+    """
+    p, partition = _EXAMPLES[example]
+    rng = np.random.default_rng((seed, example, n, rep))
+    coefficients = []
+    for group in partition:
+        phi = rng.uniform(-3.0, 3.0, (p, p))
+        phi *= 0.9 / np.linalg.norm(phi, ord=2)
+        coefficients.append((phi, rng.uniform(-1.0, 1.0, (p, p))))
+        rng.standard_normal((_BURN_IN + n + len(group) + 1, p))
+    q = sum(len(group) for group in partition)
+    a = None if example == 3 else rng.uniform(-3.0, 3.0, (q, q))
+    return coefficients, a
+
+
+def _varma_autocov(phi: np.ndarray, theta: np.ndarray, lags: int) -> list[np.ndarray]:
+    """Gamma(h) = E eta_{t+h} eta_t', h = 0..lags, of a stationary VARMA(1, 1) path.
+
+    The path is eta_t = phi eta_{t-1} + eps_t - theta eps_{t-1}, the
+    generator's recursion.
+
+    The state s_t = [eta_t; eps_t] follows s_t = F s_{t-1} + G eps_t with
+    F = [[phi, -theta], [0, 0]] and G = [I; I].  Its stationary covariance
+    P solves the Lyapunov equation P = F P F' + G G', one linear solve in
+    vec(P), and E s_{t+h} s_t' = F^h P.
+    """
+    p = phi.shape[0]
+    f = np.zeros((2 * p, 2 * p))
+    f[:p, :p], f[:p, p:] = phi, -theta
+    g = np.vstack([np.eye(p), np.eye(p)])
+    vec_p = np.linalg.solve(np.eye(4 * p * p) - np.kron(f, f), (g @ g.T).ravel())
+    state = vec_p.reshape(2 * p, 2 * p)
+    out = []
+    for _ in range(lags + 1):
+        out.append(state[:p, :p])
+        state = f @ state
+    return out
+
+
+def population_w(coefficients, example: int, a: np.ndarray, k0: int = 2) -> np.ndarray:
+    """W = I + sum_{k=1..k0} T_k T_k' from the population moments of an example's series.
+
+    Column c_s of a group (shift s = its place in the group) is eta_{t+s}
+    of the group's path, so the latent row autocovariance between columns
+    of one group at lag k is tr Gamma(k + s_a - s_b) / p, and 0 across
+    groups.  The observed one is A Sigma_x(k) A', the standardizer is
+    Sigma_y(0)^{-1/2}, and T_k = S Sigma_y(k) S.
+    """
+    p, partition = _EXAMPLES[example]
+    q = a.shape[0]
+    sigma_x = np.zeros((k0 + 1, q, q))
+    for group, (phi, theta) in zip(partition, coefficients):
+        traces = [np.trace(cov) / p for cov in _varma_autocov(phi, theta, k0 + len(group))]
+        for s_a, col_a in enumerate(group):
+            for s_b, col_b in enumerate(group):
+                for k in range(k0 + 1):
+                    sigma_x[k, col_a - 1, col_b - 1] = traces[abs(k + s_a - s_b)]
+    sigma_y = a @ sigma_x @ a.T
+    vals, vecs = np.linalg.eigh(sigma_y[0])
+    s = (vecs / np.sqrt(vals)) @ vecs.T
+    w = np.eye(q)
+    for k in range(1, k0 + 1):
+        t_k = s @ sigma_y[k] @ s
+        w += t_k @ t_k.T
+    return w

@@ -215,37 +215,34 @@ def test_correlogram_input_validation(tmp_path, capsys):
     assert _run(["correlogram", matrix_path, "--out", out, "--m", 19]) == 3
     assert _run(["correlogram", tensor_path, "--out", out]) == 3
 
-    tensor_result = tmp_path / "t.json"
-    assert _run(["segment", tensor_path, "--out", tensor_result]) == 0
-    assert _run(
-        ["correlogram", matrix_path, "--out", out, "--m", 2, "--gamma", tensor_result]
-    ) == 3
-
+    # a tensor document, matrix documents without a numeric standardizer or
+    # gamma (missing, ragged or text), and one whose shapes are not the series'
     other_path = tmp_path / "other.txt"
     mio.write_series(other_path, MatrixSeries(rng.standard_normal((30, 2, 5))))
-    other_result = tmp_path / "other.json"
-    assert _run(["segment", other_path, "--out", other_result]) == 0
-    assert _run(
-        ["correlogram", matrix_path, "--out", out, "--m", 2, "--gamma", other_result]
-    ) == 3
-
-    # matrix documents without a standardizer or gamma, or with a ragged one
-    good_result = tmp_path / "good.json"
-    assert _run(["segment", matrix_path, "--out", good_result]) == 0
-    good = json.loads(good_result.read_text())
+    for name, path in [("t", tensor_path), ("other", other_path), ("good", matrix_path)]:
+        assert _run(["segment", path, "--out", tmp_path / f"{name}.json"]) == 0
+    good = json.loads((tmp_path / "good.json").read_text())
     broken = [
         {k: v for k, v in good.items() if k != "standardizer"},
         {k: v for k, v in good.items() if k != "gamma"},
         {**good, "gamma": [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]},
         {**good, "standardizer": {"a": 1}},
+        {**good, "gamma": [["a", "b", "c"]] * 3},
     ]
+    lacking = "result document lacks a numeric standardizer and gamma"
+    documents = {tmp_path / "t.json": "only matrix result documents carry a usable gamma"}
     for index, doc in enumerate(broken):
         path = tmp_path / f"broken{index}.json"
         path.write_text(json.dumps(doc))
+        documents[path] = lacking
+    documents[tmp_path / "other.json"] = "result document dimensions do not match the series"
+    for path, message in documents.items():
         capsys.readouterr()
         assert _run(["correlogram", matrix_path, "--out", out, "--m", 2, "--gamma", path]) == 3
-        record = json.loads(capsys.readouterr().err)
+        record = _one_error_record(capsys)
         assert record["error"] == "InvalidInput"
+        assert record["message"].startswith(message)
+        assert not out.exists()
 
     # sums of squares that overflow leave no finite correlation to write
     huge_path = tmp_path / "huge.txt"

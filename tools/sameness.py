@@ -16,8 +16,9 @@ are written directly.  Each matrix series is segmented under none,
 fixed:0.05,0.03 and cv:5 and its correlogram taken raw, with --gamma (from
 its unthresholded result) and under cv:3; the order-3 tensor is segmented
 under none, cv:3 and fixed:0.05,0.03, the order-4 one (whose size-1 mode
-is carried with the identity gamma) under none and fixed:0.05,0.03; three
-small replicate reports follow, one of them with no correct run.  Last,
+is carried with the identity gamma) under none and fixed:0.05,0.03; four
+small replicate reports follow, one of them with no correct run and one
+over three lengths on two worker processes.  Last,
 ``segment`` runs on three malformed series files (a bad dimension line, a
 bad float and a byte that is not UTF-8), so their exit codes and error
 records enter the manifest too, and each subcommand's ``--help`` and one
@@ -94,14 +95,16 @@ def commands() -> list[tuple[list[str], list[str]]]:
         result = f"tensor4.seg{i}.json"
         out.append((["segment", "tensor4.txt", "--out", result] + flags, [result]))
     reports = [
-        ["--example", "1", "--n", "60,100", "--reps", "4"],
-        ["--example", "3", "--n", "100", "--reps", "3", "--threshold", "cv:3"],
+        (["--example", "1", "--n", "60,100", "--reps", "4"], 1),
+        (["--example", "3", "--n", "100", "--reps", "3", "--threshold", "cv:3"], 1),
         # no run is correct, so the report has no median
-        ["--example", "3", "--n", "50", "--reps", "1"],
+        (["--example", "3", "--n", "50", "--reps", "1"], 1),
+        # every length's replications in one pool of two worker processes
+        (["--example", "1", "--n", "60,100,150", "--reps", "4"], 2),
     ]
-    for i, flags in enumerate(reports):
+    for i, (flags, threads) in enumerate(reports):
         csv = f"report{i}.csv"
-        argv = ["replicate"] + flags + ["--seed", "0", "--threads", "1", "--out", csv]
+        argv = ["replicate"] + flags + ["--seed", "0", "--threads", str(threads), "--out", csv]
         out.append((argv, [csv]))
     for name in MALFORMED:
         result = f"{name}.seg.json"
