@@ -54,9 +54,7 @@ def _parse_threshold_spec(spec: str):
     if spec.startswith("fixed:"):
         parts = spec[len("fixed:") :].split(",")
         if len(parts) != 2:
-            raise argparse.ArgumentTypeError(
-                f"expected fixed:U,V, got {spec!r}"
-            )
+            raise argparse.ArgumentTypeError(f"expected fixed:U,V, got {spec!r}")
         try:
             u, v = float(parts[0]), float(parts[1])
         except ValueError:
@@ -72,9 +70,7 @@ def _parse_threshold_spec(spec: str):
         if splits < 1:
             raise argparse.ArgumentTypeError("cv split count must be positive")
         return lambda seed: CvThreshold(n_splits=splits, seed=seed)
-    raise argparse.ArgumentTypeError(
-        f"threshold must be none, fixed:U,V or cv[:N], got {spec!r}"
-    )
+    raise argparse.ArgumentTypeError(f"threshold must be none, fixed:U,V or cv[:N], got {spec!r}")
 
 
 def _parse_n_list(spec: str) -> list[int]:
@@ -183,16 +179,7 @@ def cmd_correlogram(args: argparse.Namespace) -> None:
         raise InvalidInput(f"m must satisfy 0 <= m <= n - 2, got {m}")
     q, data = series.q, series.data
     if args.gamma is not None:
-        doc = mio.read_result(args.gamma)
-        if doc.get("kind") != "matrix":
-            raise InvalidInput("only matrix result documents carry a usable gamma")
-        try:
-            standardizer = np.asarray(doc["standardizer"], dtype=float)
-            gamma = np.asarray(doc["gamma"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInput(
-                f"result document lacks a numeric standardizer and gamma: {exc!r}"
-            ) from exc
+        standardizer, gamma = mio.read_matrix_maps(args.gamma)
         if standardizer.shape != (q, q) or gamma.shape != (q, q):
             raise InvalidInput("result document dimensions do not match the series")
         data = data @ standardizer @ gamma

@@ -42,9 +42,7 @@ class DegenerateVariance(MatsegError, RuntimeError):
     def __init__(self, i: int, k: int):
         self.i = i
         self.k = k
-        super().__init__(
-            f"nonpositive variance for transformed column {i}, row component {k}"
-        )
+        super().__init__(f"nonpositive variance for transformed column {i}, row component {k}")
 
 
 class InvalidState(MatsegError, RuntimeError):

@@ -175,6 +175,7 @@ def w_stat(series: MatrixSeries, k0: int, u_per_lag=None) -> np.ndarray:
         cov = _lag_product(centered, k, q) / (n * p)
         if u_per_lag is not None:
             cov = hard_threshold(cov, u_per_lag[k - 1])
+        # numpy forms cov @ cov.T from one triangle, so acc stays exactly symmetric
         acc += cov @ cov.T
-    return 0.5 * (acc + acc.T)
+    return acc
 

@@ -8,11 +8,12 @@ Every reader takes UTF-8 text whose lines end in LF, CRLF or CR, and
 parses floats with numpy's text parser, so all of them accept one float
 grammar. Truth, correlogram and report files are record files, one
 header line and then records, read by `_records` and written by
-`_write_records`; empty lines are skipped but counted. A series reader
-parses the data lines in one numpy pass streamed from the open file,
-without a copy of its text; only a file that pass refuses is read again
-line by line, to name the first line at fault. Bytes that are not UTF-8
-end in a ParseError at their line.
+`_write_records`; empty lines are skipped but counted. Correlogram and
+report records, three integers and then floats, are read by
+`_numeric_records`. A series reader parses the data lines in one numpy
+pass streamed from the open file, without a copy of its text; only a
+file that pass refuses is read again line by line, to name the first
+line at fault. Bytes that are not UTF-8 end in a ParseError at their line.
 """
 
 from __future__ import annotations
@@ -113,6 +114,25 @@ def _records(path, kind: str) -> list[tuple[int, str]]:
     if lines[:1] != [_HEADERS[kind]]:
         raise ParseError(1, f"not a {kind} file")
     return [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line]
+
+
+def _numeric_records(path, kind: str, blank_last: bool = False) -> list[tuple]:
+    """A kind's records as three integers, then floats: one field per header field.
+
+    The field count is checked first, then the integers, then the floats in
+    order; with blank_last, an empty last field reads as NaN.
+    """
+    width = _HEADERS[kind].count(",") + 1
+    rows = []
+    for lineno, line in _records(path, kind):
+        fields = line.split(",")
+        if len(fields) != width:
+            raise ParseError(lineno, f"expected {width} values, found {len(fields)}")
+        ints = _parse_ints(fields[:3], lineno)
+        if blank_last and fields[-1] == "":
+            fields[-1] = "nan"
+        rows.append((*ints, *(float(_parse_floats(tok, lineno, 1)[0]) for tok in fields[3:])))
+    return rows
 
 
 def _write_records(path, kind: str, records) -> None:
@@ -319,6 +339,26 @@ def read_result(path) -> dict[str, Any]:
     return doc
 
 
+def read_matrix_maps(path) -> tuple[np.ndarray, np.ndarray]:
+    """The standardizer and gamma of a matrix result document, as float arrays.
+
+    A tensor document, or a standardizer or gamma that is missing, not a
+    numeric array or not finite, is an InvalidInput.
+    """
+    doc = read_result(path)
+    if doc.get("kind") != "matrix":
+        raise InvalidInput("only matrix result documents carry a usable gamma")
+    try:
+        maps = tuple(np.asarray(doc[key], dtype=float) for key in ("standardizer", "gamma"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInput(
+            f"result document lacks a numeric standardizer and gamma: {exc!r}"
+        ) from exc
+    if not all(np.isfinite(m).all() for m in maps):
+        raise InvalidInput("result document has a non-finite standardizer or gamma")
+    return maps
+
+
 def write_correlogram_csv(path, rows) -> None:
     """Write (i, j, h, max_abs_corr) records."""
     _write_records(path, "correlogram", [(i, j, h, _fmt(value)) for i, j, h, value in rows])
@@ -326,14 +366,7 @@ def write_correlogram_csv(path, rows) -> None:
 
 def read_correlogram_csv(path) -> list[tuple[int, int, int, float]]:
     """Read (i, j, h, max_abs_corr) records back from a correlogram file."""
-    rows = []
-    for lineno, line in _records(path, "correlogram"):
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ParseError(lineno, f"expected 4 values, found {len(parts)}")
-        i, j, h = _parse_ints(parts[:3], lineno)
-        rows.append((i, j, h, float(_parse_floats(parts[3], lineno, 1)[0])))
-    return rows
+    return _numeric_records(path, "correlogram")
 
 
 def write_report_csv(path, report: ExperimentReport) -> None:
@@ -349,13 +382,4 @@ def write_report_csv(path, report: ExperimentReport) -> None:
 
 def read_report_csv(path) -> list[tuple[int, int, int, float, float, float, float]]:
     """Read the aggregate lines back; an empty median (no correct run) reads as NaN."""
-    rows = []
-    for lineno, line in _records(path, "report"):
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise ParseError(lineno, f"expected 7 values, found {len(parts)}")
-        example, n, reps = _parse_ints(parts[:3], lineno)
-        values = [float(_parse_floats(tok, lineno, 1)[0]) for tok in parts[3:6]]
-        median = math.nan if parts[6] == "" else float(_parse_floats(parts[6], lineno, 1)[0])
-        rows.append((example, n, reps, *values, median))
-    return rows
+    return _numeric_records(path, "report", blank_last=True)

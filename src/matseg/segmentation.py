@@ -15,11 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    DegenerateColumn,
-    DegenerateVariance,
-    InvalidInput,
-)
+from .errors import DegenerateColumn, DegenerateVariance, InvalidInput
 from .estimators import _center, _pair_lag_products, hard_threshold, row_autocov, w_stat
 from .linalg import inv_sqrt_psd, sym_eig
 from .series import MatrixSeries
@@ -435,10 +431,12 @@ def group_columns(edges, q: int) -> list[list[int]]:
         if i == j:
             raise InvalidInput(f"edge ({i}, {j}) must join two distinct columns")
         parent[root(i)] = root(j)
+    # columns are visited in ascending order, so each group is ascending and
+    # the groups are met by smallest member
     members: dict[int, list[int]] = {}
     for col in range(1, q + 1):
         members.setdefault(root(col), []).append(col)
-    return sorted((sorted(g) for g in members.values()), key=lambda g: g[0])
+    return list(members.values())
 
 
 @dataclass
@@ -481,16 +479,10 @@ def _grouped(
     rotated by gamma.
     """
     q = maps.gamma.shape[0]
-    pairs = [
-        (i + 1, j + 1, float(matrix[i, j]))
-        for i in range(q)
-        for j in range(i + 1, q)
-    ]
+    pairs = [(i + 1, j + 1, float(matrix[i, j])) for i in range(q) for j in range(i + 1, q)]
     pairs.sort(key=lambda t: (-t[2], t[0], t[1]))
-    if len(pairs) < 2:
-        d_hat = 0
-    else:
-        d_hat = ratio_select([s for _, _, s in pairs], cfg.c0, cfg.ratio_shift)
+    # fewer than two pairs leave the ratio rule nothing to compare
+    d_hat = ratio_select([s for _, _, s in pairs], cfg.c0, cfg.ratio_shift) if len(pairs) > 1 else 0
     edges = [(i, j) for i, j, _ in pairs[:d_hat]]
     groups = group_columns(edges, q)
     a_hat = [maps.gamma[:, [c - 1 for c in g]] for g in groups]

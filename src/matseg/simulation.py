@@ -128,17 +128,13 @@ def gen_factor_varma(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return _varma_paths(dim, [n], rng)[0]
 
 
-def _rotation_block(angle: float) -> np.ndarray:
-    return np.array(
-        [[math.cos(angle), math.sin(angle)], [-math.sin(angle), math.cos(angle)]]
-    )
-
-
 def _example3_transform() -> np.ndarray:
+    """Five 2x2 rotation blocks on the diagonal, block b by angle pi^2 / (b + 5)."""
     a = np.zeros((10, 10))
     for b in range(5):
         angle = (math.pi / (b + 5)) * math.pi
-        a[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = _rotation_block(angle)
+        cos, sin = math.cos(angle), math.sin(angle)
+        a[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = [[cos, sin], [-sin, cos]]
     return a
 
 
@@ -318,8 +314,7 @@ def run_replication(
     label = classify_segmentation(result, truth)
     if label != CORRECT:
         return rep, label, float("nan")
-    d_bar = mean_subspace_error(result.a_hat, truth, result.standardizer)
-    return rep, label, d_bar
+    return rep, label, mean_subspace_error(result.a_hat, truth, result.standardizer)
 
 
 def run_experiment(

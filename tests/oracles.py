@@ -371,8 +371,12 @@ def _varma_autocov(phi: np.ndarray, theta: np.ndarray, lags: int) -> list[np.nda
     return out
 
 
-def population_w(coefficients, example: int, a: np.ndarray, k0: int = 2) -> np.ndarray:
+def population_w(coefficients, example: int, a: np.ndarray, k0: int = 2):
     """W = I + sum_{k=1..k0} T_k T_k' from the population moments of an example's series.
+
+    Returns (w, sigma_x, standardizer): sigma_x[k] is the latent row
+    autocovariance Sigma_x(k) for k = 0..k0, so the observed one is
+    a @ sigma_x[k] @ a.T, and standardizer is Sigma_y(0)^{-1/2}.
 
     Column c_s of a group (shift s = its place in the group) is eta_{t+s}
     of the group's path, so the latent row autocovariance between columns
@@ -396,4 +400,4 @@ def population_w(coefficients, example: int, a: np.ndarray, k0: int = 2) -> np.n
     for k in range(1, k0 + 1):
         t_k = s @ sigma_y[k] @ s
         w += t_k @ t_k.T
-    return w
+    return w, sigma_x, s

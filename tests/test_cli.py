@@ -236,6 +236,15 @@ def test_correlogram_input_validation(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         documents[path] = lacking
     documents[tmp_path / "other.json"] = "result document dimensions do not match the series"
+    # json reads NaN and Infinity; the document is at fault, not the series
+    non_finite = [
+        {**good, "gamma": [[float("nan")] * 3] * 3},
+        {**good, "standardizer": [[float("inf"), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+    ]
+    for index, doc in enumerate(non_finite):
+        path = tmp_path / f"non_finite{index}.json"
+        path.write_text(json.dumps(doc))
+        documents[path] = "result document has a non-finite standardizer or gamma"
     for path, message in documents.items():
         capsys.readouterr()
         assert _run(["correlogram", matrix_path, "--out", out, "--m", 2, "--gamma", path]) == 3

@@ -491,6 +491,9 @@ def test_matrix_result_document_round_trip(tmp_path):
     path = tmp_path / "result.json"
     io.write_result(path, doc)
     assert io.read_result(path) == doc
+    standardizer, gamma = io.read_matrix_maps(path)
+    assert standardizer.tobytes() == result.standardizer.tobytes()
+    assert gamma.tobytes() == result.gamma.tobytes()
 
 
 def test_fixed_threshold_result_document_round_trip(tmp_path):
@@ -518,6 +521,8 @@ def test_tensor_result_document_round_trip(tmp_path):
     path = tmp_path / "result.json"
     io.write_result(path, doc)
     assert io.read_result(path) == doc
+    with pytest.raises(InvalidInput, match="only matrix result documents"):
+        io.read_matrix_maps(path)
 
 
 def test_result_document_requires_payload():
@@ -570,6 +575,42 @@ def test_read_correlogram_parse_errors(tmp_path):
     with pytest.raises(ParseError) as exc:
         io.read_correlogram_csv(_write(path, "i,j,h,max_abs_corr\n1,x,0,0.5\n"))
     assert exc.value.line == 2
+
+
+_CORRELOGRAM, _REPORT = "i,j,h,max_abs_corr", io.REPORT_HEADER
+
+
+@pytest.mark.parametrize(
+    "reader, header, record, reason",
+    [
+        (io.read_correlogram_csv, _CORRELOGRAM, "1,2,0", "expected 4 values, found 3"),
+        (io.read_correlogram_csv, _CORRELOGRAM, "x,2,0,y", "bad integer: 'x'"),
+        (io.read_correlogram_csv, _CORRELOGRAM, "1,2,\u0663,0.5", "bad integer: '\u0663'"),
+        (
+            io.read_correlogram_csv,
+            _CORRELOGRAM,
+            "1,2,0,y",
+            "bad float: could not convert string 'y' to float64",
+        ),
+        (io.read_correlogram_csv, _CORRELOGRAM, "1,2,0,", "bad float: no value"),
+        (io.read_report_csv, _REPORT, "1,100,8,0.5,0.5,0.0", "expected 7 values, found 6"),
+        (io.read_report_csv, _REPORT, "1,1_00,8,zz,,0.0,", "bad integer: '1_00'"),
+        (
+            io.read_report_csv,
+            _REPORT,
+            "1,100,8,zz,,0.0,",
+            "bad float: could not convert string 'zz' to float64",
+        ),
+        # only the median may be empty
+        (io.read_report_csv, _REPORT, "1,100,8,0.5,,0.0,0.1", "bad float: no value"),
+    ],
+)
+def test_numeric_record_fault_is_the_first_rule_broken(tmp_path, reader, header, record, reason):
+    # field count, then the three integers, then the floats in order
+    path = _write(tmp_path / "bad.csv", f"{header}\n\n{record}\n")
+    with pytest.raises(ParseError) as exc:
+        reader(path)
+    assert (exc.value.line, exc.value.reason) == (3, reason)
 
 
 def test_report_csv_round_trip(tmp_path):

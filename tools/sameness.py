@@ -16,7 +16,8 @@ are written directly.  Each matrix series is segmented under none,
 fixed:0.05,0.03 and cv:5 and its correlogram taken raw, with --gamma (from
 its unthresholded result) and under cv:3; the order-3 tensor is segmented
 under none, cv:3 and fixed:0.05,0.03, the order-4 one (whose size-1 mode
-is carried with the identity gamma) under none and fixed:0.05,0.03; four
+is carried with the identity gamma) under none and fixed:0.05,0.03, and a
+correlogram with --gamma set to the order-3 result is refused; four
 small replicate reports follow, one of them with no correct run and one
 over three lengths on two worker processes.  Last,
 ``segment`` runs on three malformed series files (a bad dimension line, a
@@ -94,6 +95,10 @@ def commands() -> list[tuple[list[str], list[str]]]:
     for i, flags in enumerate([[], ["--threshold", "fixed:0.05,0.03"]]):
         result = f"tensor4.seg{i}.json"
         out.append((["segment", "tensor4.txt", "--out", result] + flags, [result]))
+    # a tensor document has no one gamma to apply: refused, exit 3
+    refused = "ex1_n60.txt.cor_tensor.csv"
+    argv = ["correlogram", "ex1_n60.txt", "--out", refused, "--gamma", "tensor.seg0.json"]
+    out.append((argv, [refused]))
     reports = [
         (["--example", "1", "--n", "60,100", "--reps", "4"], 1),
         (["--example", "3", "--n", "100", "--reps", "3", "--threshold", "cv:3"], 1),
