@@ -90,16 +90,21 @@ def _check_pair_size(width: int, what: str) -> None:
         raise ResourceLimit(f"{what} would hold {width * width} entries")
 
 
-def _pair_lag_products(centered: np.ndarray, h: int, out=None) -> np.ndarray:
+def _pair_lag_products(centered: np.ndarray, h: int, out=None, raw=None) -> np.ndarray:
     """pair_autocov_all at lag h from data already centred by its full-sample mean.
 
     Scoring passes centre once and call this per lag; h is not checked.
     out, if given, is a C-ordered buffer of (p q)^2 entries that receives
-    the product; the result is a view of it.
+    the product; the result is a view of it.  raw, if given, is called
+    with the (p q, p q) product before it is divided by n in place, for a
+    level that must read the undivided sum: (x / n) * n is not x in
+    floating point.
     """
     n, p, q = centered.shape
     _check_pair_size(p * q, "row-pair covariance tensor")
     flat = _lag_product(centered, h, p * q, out=None if out is None else out.reshape(p * q, p * q))
+    if raw is not None:
+        raw(flat)
     flat /= n
     return flat.reshape(p, q, p, q).transpose(0, 2, 1, 3)
 
@@ -164,18 +169,39 @@ def w_stat(series: MatrixSeries, k0: int, u_per_lag=None) -> np.ndarray:
     ndarray, shape (q, q)
         Symmetric matrix with every eigenvalue >= 1.
     """
-    n, p, q = series.n, series.p, series.q
-    if not 1 <= k0 <= n - 2:
-        raise InvalidInput(f"k0 must satisfy 1 <= k0 <= n - 2, got {k0} with n = {n}")
     if u_per_lag is not None and len(u_per_lag) != k0:
         raise InvalidInput(f"u_per_lag must have length {k0}, got {len(u_per_lag)}")
-    centered = _center(series.data)
-    acc = np.eye(q)
+    level = None if u_per_lag is None else lambda k, total: u_per_lag[k - 1]
+    covs, _ = _row_lag_covs(_center(series.data), k0, level)
+    return _accumulated(covs)
+
+
+def _row_lag_covs(centered: np.ndarray, k0: int, level=None) -> tuple[list, list | None]:
+    """The T_k of w_stat, k = 1..k0, from data centred by its full-sample mean.
+
+    T_k is the row-averaged autocovariance at lag k, hard-thresholded at
+    level(k, total) unless level is None; total is the lag's full-sample
+    _lag_product at width q, which a cross-validated level reads before it
+    is divided.  Returns the T_k and their levels (None when level is).
+    """
+    n, p, q = centered.shape
+    if not 1 <= k0 <= n - 2:
+        raise InvalidInput(f"k0 must satisfy 1 <= k0 <= n - 2, got {k0} with n = {n}")
+    covs, levels = [], None if level is None else []
     for k in range(1, k0 + 1):
-        cov = _lag_product(centered, k, q) / (n * p)
-        if u_per_lag is not None:
-            cov = hard_threshold(cov, u_per_lag[k - 1])
+        total = _lag_product(centered, k, q)
+        cov = total / (n * p)
+        if level is not None:
+            levels.append(level(k, total))
+            cov = hard_threshold(cov, levels[-1])
+        covs.append(cov)
+    return covs, levels
+
+
+def _accumulated(covs: list) -> np.ndarray:
+    """I_q + sum of T_k @ T_k' over the (q, q) T_k of w_stat."""
+    acc = np.eye(covs[0].shape[0])
+    for cov in covs:
         # numpy forms cov @ cov.T from one triangle, so acc stays exactly symmetric
         acc += cov @ cov.T
     return acc
-

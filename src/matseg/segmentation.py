@@ -16,10 +16,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateColumn, DegenerateVariance, InvalidInput
-from .estimators import _center, _pair_lag_products, hard_threshold, row_autocov, w_stat
+from .estimators import (
+    _accumulated,
+    _center,
+    _lag_product,
+    _pair_lag_products,
+    _row_lag_covs,
+    hard_threshold,
+    row_autocov,
+)
 from .linalg import inv_sqrt_psd, sym_eig
 from .series import MatrixSeries
-from .threshold_cv import CvThreshold, cv_threshold_autocov, cv_threshold_pair
+from .threshold_cv import CvThreshold, _cv_level, cv_threshold_autocov, cv_threshold_pair
 
 
 @dataclass(frozen=True)
@@ -122,19 +130,38 @@ def threshold_levels(
 
     kind 0 selects the row-averaged autocovariances (levels u), kind 1 the
     row-pair cross-covariances (levels v).  Cross-validation chooses its
-    levels on the given series; NoThreshold gives None.  The pipeline reads
-    the threshold mode here and in _reseeded only.
+    levels on the given series; NoThreshold gives None.
+    """
+    rule = _level_rule(threshold, kind, series)
+    return None if rule is None else [rule(lag) for lag in lags]
+
+
+def _level_rule(threshold: ThresholdMode, kind: int, series: MatrixSeries, centered=None):
+    """The level of one covariance estimate of the series as a function of the lag.
+
+    Returns None under NoThreshold, else a function of a lag and,
+    optionally, the lag's full-sample _lag_product at the estimate's width
+    (q for kind 0, p q for kind 1) of centered, the series centred by its
+    full-sample mean.  A cross-validated level reads that product when it
+    is given and forms its own when it is not.  The pipeline reads the
+    threshold mode here and in _reseeded only.
     """
     if kind not in (0, 1):
         raise InvalidInput(f"kind must be 0 or 1, got {kind}")
     if isinstance(threshold, FixedThreshold):
-        level = threshold.v if kind else threshold.u
-        return [level for _ in lags]
-    if isinstance(threshold, CvThreshold):
-        estimate = cv_threshold_pair if kind else cv_threshold_autocov
-        seed = threshold.seed
-        return [estimate(series, lag, _reseeded(threshold, seed, kind, lag)) for lag in lags]
-    return None
+        fixed = threshold.v if kind else threshold.u
+        return lambda lag, total=None: fixed
+    if not isinstance(threshold, CvThreshold):
+        return None
+    width = series.p * series.q if kind else series.q
+
+    def level(lag, total=None):
+        plan = _reseeded(threshold, threshold.seed, kind, lag)
+        if total is None:
+            return (cv_threshold_pair if kind else cv_threshold_autocov)(series, lag, plan)
+        return _cv_level(centered, lag, plan, width, total)
+
+    return level
 
 
 def standardize(
@@ -312,19 +339,39 @@ def lag_scores(
     -------
     ndarray, shape (m + 1, q, q)
     """
-    _check_score_window(m, standardized.n)
     if v_per_lag is not None and len(v_per_lag) != m + 1:
         raise InvalidInput(f"v_per_lag must have length {m + 1}, got {len(v_per_lag)}")
-    gam = np.asarray(gamma, dtype=float)
+    level = None if v_per_lag is None else lambda h, total: v_per_lag[h]
     centered = _center(standardized.data)
-    scores = np.empty((m + 1, standardized.q, standardized.q))
+    return _lag_scores(centered, np.asarray(gamma, dtype=float), m, level)[0]
+
+
+def _lag_scores(centered: np.ndarray, gamma: np.ndarray, m: int, level=None):
+    """lag_scores of a centred standardized series, and the level of each lag.
+
+    The one matrix scoring loop.  level, if given, is a function of the
+    lag h and its undivided (p q, p q) product that gives the lag's level
+    v; it runs inside _pair_lag_products, so a cross-validated level reads
+    the product that the lag is scored on.  Returns the scores and the
+    levels (None when level is).
+    """
+    _check_score_window(m, centered.shape[0])
+    q = centered.shape[2]
+    scores = np.empty((m + 1, q, q))
+    levels = None if level is None else []
     denom = None
     for h in range(m + 1):
-        v = None if v_per_lag is None else v_per_lag[h]
-        scores[h], denom, _ = _lag_score(_pair_lag_products(centered, h), gam, v, h, denom)
+        if level is None:
+            tensor = _pair_lag_products(centered, h)
+        else:
+            tensor = _pair_lag_products(centered, h, raw=lambda t: levels.append(level(h, t)))
+        v = None if levels is None else levels[h]
+        scores[h], denom, _ = _lag_score(tensor, gamma, v, h, denom)
+        # the next lag's product and level are formed with this lag's tensors freed
+        del tensor, _
     if not np.all(np.isfinite(scores)):
         raise InvalidInput("pair scores are not finite")
-    return scores
+    return scores, levels
 
 
 def pair_score_matrix(
@@ -450,24 +497,35 @@ class _Maps:
     v_per_lag: list[float] | None = None
 
 
-def _maps(series: MatrixSeries, cfg: SegmentationConfig) -> tuple[_Maps, MatrixSeries]:
-    """First step of segment: threshold levels, standardizer and gamma.
+def _maps(
+    series: MatrixSeries, cfg: SegmentationConfig
+) -> tuple[_Maps, MatrixSeries, np.ndarray]:
+    """First step of segment: the u levels, standardizer and gamma.
 
-    Returns the maps and the standardized series that the pair scores are
-    taken on.  A single column gets the identity rotation and no levels.
+    Returns the maps, the standardized series that the pair scores are
+    taken on and that series centred.  The raw series is centred once, and
+    its lag-0 product gives both the covariance and its level; each lag-k
+    product of the standardized series gives both T_k and its level.  The
+    v levels are left to the scoring: segment chooses each from the
+    product it scores.  A single column gets the identity rotation and no
+    levels.
     """
-    cov0 = row_autocov(series, 0)
-    if series.q == 1:
-        # thresholding leaves the variance of a lone column as it is
-        standardized, standardizer = _standardize(series, None, cfg.eps, cov0)
-        return _Maps(standardizer, np.eye(1)), standardized
-    lag0 = threshold_levels(cfg.threshold, series, 0, [0])
-    u_lag0 = None if lag0 is None else _definite_level(cov0, lag0[0], cfg.eps)
+    raw = _center(series.data)
+    total0 = _lag_product(raw, 0, series.q)
+    cov0 = total0 / (series.n * series.p)
+    # thresholding leaves the variance of a lone column as it is
+    lag0 = None if series.q == 1 else _level_rule(cfg.threshold, 0, series, raw)
+    u_lag0 = None if lag0 is None else _definite_level(cov0, lag0(0, total0), cfg.eps)
+    # the rule holds the centred raw series too
+    del raw, total0, lag0
     standardized, standardizer = _standardize(series, u_lag0, cfg.eps, cov0)
-    u_per_lag = threshold_levels(cfg.threshold, standardized, 0, range(1, cfg.k0 + 1))
-    _, gamma = sym_eig(w_stat(standardized, cfg.k0, u_per_lag))
-    v_per_lag = threshold_levels(cfg.threshold, standardized, 1, range(cfg.m + 1))
-    return _Maps(standardizer, gamma, u_lag0, u_per_lag, v_per_lag), standardized
+    centered = _center(standardized.data)
+    if series.q == 1:
+        return _Maps(standardizer, np.eye(1)), standardized, centered
+    level = _level_rule(cfg.threshold, 0, standardized, centered)
+    covs, u_per_lag = _row_lag_covs(centered, cfg.k0, level)
+    _, gamma = sym_eig(_accumulated(covs))
+    return _Maps(standardizer, gamma, u_lag0, u_per_lag), standardized, centered
 
 
 def _grouped(
@@ -513,9 +571,13 @@ def segment(series: MatrixSeries, cfg: SegmentationConfig | None = None) -> Segm
     """
     if cfg is None:
         cfg = SegmentationConfig()
-    maps, standardized = _maps(series, cfg)
+    maps, standardized, centered = _maps(series, cfg)
     matrix = None
     if series.q > 1:
-        matrix = pair_score_matrix(standardized, maps.gamma, cfg.m, maps.v_per_lag)
+        level = _level_rule(cfg.threshold, 1, standardized, centered)
+        scores, maps.v_per_lag = _lag_scores(centered, maps.gamma, cfg.m, level)
+        matrix = scores.max(axis=0)
+        del level  # it holds centered too
+    del centered
     # formed after scoring, so the scoring pass runs beside one series less
     return _grouped(maps, matrix, MatrixSeries(standardized.data @ maps.gamma), cfg)

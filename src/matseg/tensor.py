@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import DegenerateColumn, DegenerateVariance, InvalidInput, ResourceLimit
-from .estimators import _center, _check_pair_size, _pair_lag_products
+from .estimators import _check_pair_size, _pair_lag_products
 from .segmentation import (
     SegmentationConfig,
     SegmentationResult,
@@ -20,6 +20,7 @@ from .segmentation import (
     _lag_score,
     _maps,
     _sandwich,
+    threshold_levels,
 )
 from .series import MatrixSeries, TensorSeries
 
@@ -231,9 +232,14 @@ def sequential_segment(
     stages, transformed = [], []
     for mode in range(1, series.order + 1):
         with _mode_stage(mode):
-            maps, standardized = _maps(MatrixSeries(_unfold_series(data, mode)), cfg)
+            maps, standardized, own = _maps(MatrixSeries(_unfold_series(data, mode)), cfg)
+            if dims[mode - 1] > 1:
+                # segment chooses its v levels while scoring; the shared scores need them first
+                lags = range(cfg.m + 1)
+                maps.v_per_lag = threshold_levels(cfg.threshold, standardized, 1, lags)
         if mode == 1:
-            centered = _center(standardized.data)
+            centered = own
+        del own
         stages.append(maps)
         transformed.append(MatrixSeries(standardized.data @ maps.gamma))
         del standardized

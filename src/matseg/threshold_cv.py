@@ -129,24 +129,25 @@ def _grid_risk(first: np.ndarray, second: np.ndarray, grid: np.ndarray) -> np.nd
     return b @ b + np.cumsum(gains[::-1])[::-1][1:]
 
 
-def _cv_level(series: MatrixSeries, lag: int, mode: CvThreshold, width: int) -> float:
+def _cv_level(
+    centered: np.ndarray, lag: int, mode: CvThreshold, width: int, total: np.ndarray
+) -> float:
     """Cross-validated threshold for the lag covariances of width-entry rows.
 
     Minimizes the average squared Frobenius distance between the
     thresholded first-part estimate and the raw second-part estimate over a
     grid of candidate levels drawn from the full-sample estimate.  Ties
-    resolve to the smallest candidate.  Every estimate is the series'
-    _lag_product at width, centred once by the full-sample mean and divided
-    by its time-point count times the row count p q / width, as
-    split_row_autocov and split_pair_product define it.  The product is a
-    sum over time points and the two parts of a split partition them, so
-    only the second part's product is formed per split; the first part's
-    is the full-sample product minus it.  lag is not checked.
+    resolve to the smallest candidate.  centered is the series centred by
+    its full-sample mean and total its full-sample _lag_product at lag and
+    width, both formed by the caller; every estimate is the _lag_product
+    of centered divided by its time-point count times the row count
+    p q / width, as split_row_autocov and split_pair_product define it.
+    The product is a sum over time points and the two parts of a split
+    partition them, so only the second part's product is formed per split;
+    the first part's is total minus it.  lag is not checked.
     """
-    n = series.n
-    rows = series.p * series.q // width
-    centered = _center(series.data)
-    total = _lag_product(centered, lag, width)
+    n, p, q = centered.shape
+    rows = p * q // width
     grid = threshold_grid(total / (n * rows), mode.grid_size)
     risks = np.zeros(grid.size)
     for first, second in split_indices(mode, n):
@@ -154,6 +155,12 @@ def _cv_level(series: MatrixSeries, lag: int, mode: CvThreshold, width: int) -> 
         risks += _grid_risk((total - part) / (first.size * rows), part / (second.size * rows), grid)
     risks /= mode.n_splits
     return float(grid[int(np.argmin(risks))])
+
+
+def _formed_level(series: MatrixSeries, lag: int, mode: CvThreshold, width: int) -> float:
+    """_cv_level on the series, centring it and forming its full-sample product here."""
+    centered = _center(series.data)
+    return _cv_level(centered, lag, mode, width, _lag_product(centered, lag, width))
 
 
 def cv_threshold_autocov(series: MatrixSeries, k: int, mode: CvThreshold) -> float:
@@ -175,7 +182,7 @@ def cv_threshold_autocov(series: MatrixSeries, k: int, mode: CvThreshold) -> flo
     float
         Selected threshold, >= 0.
     """
-    return _cv_level(series, _check_lag(k, series.n, "k"), mode, series.q)
+    return _formed_level(series, _check_lag(k, series.n, "k"), mode, series.q)
 
 
 def cv_threshold_pair(series: MatrixSeries, h: int, mode: CvThreshold) -> float:
@@ -201,4 +208,4 @@ def cv_threshold_pair(series: MatrixSeries, h: int, mode: CvThreshold) -> float:
     """
     h = _check_lag(h, series.n, "h")
     _check_pair_size(series.p * series.q, "row-pair covariance matrix")
-    return _cv_level(series, h, mode, series.p * series.q)
+    return _formed_level(series, h, mode, series.p * series.q)

@@ -61,9 +61,10 @@ def trend_cells():
 
 @pytest.mark.xfail(
     strict=False,
-    reason="within-group columns are lag-shifted copies of one factor, which ties "
-    "the leading eigenvalues across groups; the estimated transformation then "
-    "mixes groups often enough to cap the correct proportion near 0.86",
+    reason="within-group columns are lag-shifted copies of one factor, which leaves "
+    "near-tied eigenvalues of the population W between groups; the sampling error "
+    "at n=1500 exceeds those gaps often enough that the estimated transformation "
+    "mixes groups and caps the correct proportion near 0.82",
 )
 def test_criterion_1_six_column_proportion_at_long_length(example1_cell, acceptance_report):
     report, elapsed = example1_cell
@@ -117,8 +118,9 @@ def test_criterion_3_thresholding_contrast_on_ten_columns(example3_cells, accept
 
 @pytest.mark.xfail(
     strict=False,
-    reason="the same tied-eigenvalue mixing leaves the six-by-six scenario "
-    "marginally below the band at this seed",
+    reason="near-tied eigenvalues of the population W between groups, as in "
+    "criterion 1, let the sampling error mix groups and leave the six-by-six "
+    "scenario marginally below the band at this seed",
 )
 def test_criterion_4_six_by_six_proportion_band(acceptance_report):
     report = run_experiment(2, [1500], REPS, SegmentationConfig(), seed=0)

@@ -1,5 +1,9 @@
 """Tests for standardization, the transformation, pair scoring and grouping."""
 
+import sys
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,12 +14,13 @@ from matseg import (
     InvalidInput,
     MatrixSeries,
     NoThreshold,
+    ResourceLimit,
     SegmentationConfig,
     gen_example,
     pair_score_matrix,
     segment,
 )
-from matseg import segmentation
+from matseg import estimators, segmentation
 from matseg.estimators import hard_threshold, pair_autocov_all, row_autocov, w_stat
 from matseg.linalg import sym_eig
 from matseg.segmentation import (
@@ -428,12 +433,14 @@ def test_definite_lag0_level_stands():
 
 def test_segment_cross_validates_lag0_level_once(monkeypatch):
     calls = []
+    cv_level = segmentation._cv_level
 
-    def counting(series, k, plan):
-        calls.append(k)
-        return cv_threshold_autocov(series, k, plan)
+    def counting(centered, lag, plan, width, total):
+        if width == centered.shape[2]:
+            calls.append(lag)
+        return cv_level(centered, lag, plan, width, total)
 
-    monkeypatch.setattr(segmentation, "cv_threshold_autocov", counting)
+    monkeypatch.setattr(segmentation, "_cv_level", counting)
     rng = np.random.default_rng(50)
     cfg = SegmentationConfig(k0=3, m=2, threshold=CvThreshold(n_splits=3, grid_size=8))
     res = segment(_random_series(rng, 40, 2, 3), cfg)
@@ -690,11 +697,59 @@ def test_config_validation():
 def test_segment_forms_the_raw_lag0_covariance_once(monkeypatch, threshold):
     series, _ = gen_example(1, 300, np.random.default_rng(74))
     lags = []
+    lag_product = segmentation._lag_product
 
-    def counting(series, k):
+    def counting(x, k, width, t=None, out=None):
         lags.append(k)
-        return row_autocov(series, k)
+        return lag_product(x, k, width, t, out)
 
-    monkeypatch.setattr(segmentation, "row_autocov", counting)
+    monkeypatch.setattr(segmentation, "_lag_product", counting)
     segment(series, SegmentationConfig(threshold=threshold))
     assert lags == [0]
+
+
+def _count_full_products(monkeypatch):
+    # every module binding of _lag_product counts its full-sample calls by (width, lag)
+    formed = Counter()
+    lag_product = estimators._lag_product
+
+    def counting(x, k, width, t=None, out=None):
+        if t is None:
+            formed[width, k] += 1
+        return lag_product(x, k, width, t, out)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("matseg") and getattr(module, "_lag_product", None) is lag_product:
+            monkeypatch.setattr(module, "_lag_product", counting)
+    return formed
+
+
+@pytest.mark.parametrize(
+    "threshold", [NoThreshold(), FixedThreshold(0.05, 0.03), CvThreshold(n_splits=3)]
+)
+def test_segment_forms_each_full_sample_product_once(monkeypatch, threshold):
+    series, _ = gen_example(1, 300, np.random.default_rng(75))
+    p, q = series.p, series.q
+    formed = _count_full_products(monkeypatch)
+    cfg = SegmentationConfig(k0=2, m=3, threshold=threshold)
+    segment(series, cfg)
+    # the raw lag-0 product, T_1..T_k0 of the standardized series, and each scored lag
+    want = Counter([(q, 0)] + [(q, k) for k in range(1, cfg.k0 + 1)])
+    want.update((p * q, h) for h in range(cfg.m + 1))
+    assert formed == want
+
+
+def test_segment_cv_refuses_a_wide_pair_product_before_forming_it(monkeypatch):
+    # p q = 10002, so one (p q)^2 product would hold about 10^8 entries (800 MB)
+    series = _random_series(np.random.default_rng(76), 12, 5001, 2)
+    formed = _count_full_products(monkeypatch)
+    cfg = SegmentationConfig(m=2, threshold=CvThreshold(n_splits=3, grid_size=8))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match="would hold 100040004 entries"):
+            segment(series, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not [key for key in formed if key[0] == series.p * series.q]
+    assert peak < 50e6

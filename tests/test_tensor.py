@@ -21,8 +21,8 @@ from matseg import (
     sequential_segment,
 )
 from matseg import estimators, tensor
-from matseg.estimators import _center, _pair_lag_products
-from matseg.segmentation import _lag_score, _maps, _sandwich
+from matseg.estimators import _pair_lag_products
+from matseg.segmentation import _lag_score, _maps, _sandwich, threshold_levels
 from matseg.tensor import _fold_series, _relayout, _shared_scores, _unfold_series
 from matseg.simulation import gen_factor_varma
 from oracles import brute_matricize
@@ -253,9 +253,11 @@ def _score_inputs(series, cfg):
     data, dims, stages = series.data, series.dims, []
     for mode in range(1, series.order + 1):
         unfolded = MatrixSeries(_unfold_series(data, mode))
-        maps, standardized = _maps(unfolded, cfg)
+        maps, standardized, own = _maps(unfolded, cfg)
+        if unfolded.q > 1:
+            maps.v_per_lag = threshold_levels(cfg.threshold, standardized, 1, range(cfg.m + 1))
         if mode == 1:
-            centered = _center(standardized.data)
+            centered = own
         stages.append(maps)
         data = _fold_series(standardized.data @ maps.gamma, mode, dims)
     return centered, stages
