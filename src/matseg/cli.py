@@ -28,7 +28,6 @@ from .segmentation import (
     SegmentationConfig,
     lag_scores,
     segment,
-    threshold_levels,
 )
 from .series import MatrixSeries, TensorSeries
 from .simulation import gen_example, run_experiment
@@ -174,23 +173,18 @@ def cmd_correlogram(args: argparse.Namespace) -> None:
     series = mio.read_series(args.input)
     if not isinstance(series, MatrixSeries):
         raise InvalidInput("the correlogram command requires a matrix series")
-    m = args.m
-    if m < 0 or m > series.n - 2:
-        raise InvalidInput(f"m must satisfy 0 <= m <= n - 2, got {m}")
     q, data = series.q, series.data
     if args.gamma is not None:
         standardizer, gamma = mio.read_matrix_maps(args.gamma)
         if standardizer.shape != (q, q) or gamma.shape != (q, q):
             raise InvalidInput("result document dimensions do not match the series")
         data = data @ standardizer @ gamma
-    transformed = MatrixSeries(data)
-    v_per_lag = threshold_levels(threshold, transformed, 1, range(m + 1))
-    scores = lag_scores(transformed, np.eye(q), m, v_per_lag)
+    scores = lag_scores(MatrixSeries(data), np.eye(q), args.m, threshold)
     rows = [
         (i + 1, j + 1, h, float(scores[h, i, j]))
         for i in range(q)
         for j in range(i, q)
-        for h in range(m + 1)
+        for h in range(args.m + 1)
     ]
     mio.write_correlogram_csv(args.out, rows)
 

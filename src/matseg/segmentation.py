@@ -27,7 +27,7 @@ from .estimators import (
 )
 from .linalg import inv_sqrt_psd, sym_eig
 from .series import MatrixSeries
-from .threshold_cv import CvThreshold, _cv_level, cv_threshold_autocov, cv_threshold_pair
+from .threshold_cv import CvThreshold, _cv_level
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ class SegmentationResult:
 def _reseeded(threshold: ThresholdMode, *key: int) -> ThresholdMode:
     """threshold, or under cross-validation a copy seeded from SeedSequence(key).
 
-    The one derivation of a cross-validation seed: threshold_levels keys
+    The one derivation of a cross-validation seed: _level_rule keys
     it by (seed, kind, lag), run_replication by (seed, example, n, rep, 7).
     """
     if not isinstance(threshold, CvThreshold):
@@ -123,42 +123,31 @@ def _reseeded(threshold: ThresholdMode, *key: int) -> ThresholdMode:
     return replace(threshold, seed=derived)
 
 
-def threshold_levels(
-    threshold: ThresholdMode, series: MatrixSeries, kind: int, lags
-) -> list[float] | None:
-    """Hard-threshold level of one covariance estimate at each given lag.
+def _level_rule(threshold: ThresholdMode, kind: int, centered: np.ndarray):
+    """The level of one covariance estimate of a series as a function of the lag.
 
-    kind 0 selects the row-averaged autocovariances (levels u), kind 1 the
-    row-pair cross-covariances (levels v).  Cross-validation chooses its
-    levels on the given series; NoThreshold gives None.
+    centered is the series centred by its full-sample mean.  kind 0
+    selects the row-averaged autocovariances (levels u), kind 1 the
+    row-pair cross-covariances (levels v).  Returns None under
+    NoThreshold, else a function of a lag and, optionally, the lag's
+    full-sample _lag_product of centered at the estimate's width (q for
+    kind 0, p q for kind 1).  A cross-validated level reads that product
+    when it is given and forms it from centered when it is not; the lag is
+    not checked.  The pipeline reads the threshold mode here and in
+    _reseeded only.
     """
-    rule = _level_rule(threshold, kind, series)
-    return None if rule is None else [rule(lag) for lag in lags]
-
-
-def _level_rule(threshold: ThresholdMode, kind: int, series: MatrixSeries, centered=None):
-    """The level of one covariance estimate of the series as a function of the lag.
-
-    Returns None under NoThreshold, else a function of a lag and,
-    optionally, the lag's full-sample _lag_product at the estimate's width
-    (q for kind 0, p q for kind 1) of centered, the series centred by its
-    full-sample mean.  A cross-validated level reads that product when it
-    is given and forms its own when it is not.  The pipeline reads the
-    threshold mode here and in _reseeded only.
-    """
-    if kind not in (0, 1):
-        raise InvalidInput(f"kind must be 0 or 1, got {kind}")
     if isinstance(threshold, FixedThreshold):
         fixed = threshold.v if kind else threshold.u
         return lambda lag, total=None: fixed
     if not isinstance(threshold, CvThreshold):
         return None
-    width = series.p * series.q if kind else series.q
+    _, p, q = centered.shape
+    width = p * q if kind else q
 
     def level(lag, total=None):
-        plan = _reseeded(threshold, threshold.seed, kind, lag)
         if total is None:
-            return (cv_threshold_pair if kind else cv_threshold_autocov)(series, lag, plan)
+            total = _lag_product(centered, lag, width)
+        plan = _reseeded(threshold, threshold.seed, kind, lag)
         return _cv_level(centered, lag, plan, width, total)
 
     return level
@@ -324,25 +313,26 @@ def lag_scores(
     standardized: MatrixSeries,
     gamma: np.ndarray,
     m: int,
-    v_per_lag: list[float] | None = None,
+    threshold: ThresholdMode = NoThreshold(),
 ) -> np.ndarray:
     """Maximal absolute cross-correlation of every pair of transformed columns, per lag.
 
     Entry (h, i, j) is the largest absolute correlation between any
     component of column i and any component of column j at lags h and -h;
     the lag -h sample cross-covariances are the transposes of the lag h
-    ones, so each lag's matrix is symmetric.  Under v_per_lag entry h
-    thresholds the lag-h covariances; the correlation denominators come
-    from the unthresholded lag-0 covariances.
+    ones, so each lag's matrix is symmetric.  The threshold mode's v
+    level of lag h, chosen on the standardized series as segment chooses
+    it, thresholds the lag-h covariances; the correlation denominators
+    come from the unthresholded lag-0 covariances.
 
     Returns
     -------
     ndarray, shape (m + 1, q, q)
     """
-    if v_per_lag is not None and len(v_per_lag) != m + 1:
-        raise InvalidInput(f"v_per_lag must have length {m + 1}, got {len(v_per_lag)}")
-    level = None if v_per_lag is None else lambda h, total: v_per_lag[h]
+    if not isinstance(threshold, ThresholdMode):
+        raise InvalidInput(f"unknown threshold mode {threshold!r}")
     centered = _center(standardized.data)
+    level = _level_rule(threshold, 1, centered)
     return _lag_scores(centered, np.asarray(gamma, dtype=float), m, level)[0]
 
 
@@ -378,7 +368,7 @@ def pair_score_matrix(
     standardized: MatrixSeries,
     gamma: np.ndarray,
     m: int,
-    v_per_lag: list[float] | None = None,
+    threshold: ThresholdMode = NoThreshold(),
 ) -> np.ndarray:
     """Maximal absolute cross-correlation for every pair of transformed columns.
 
@@ -392,7 +382,7 @@ def pair_score_matrix(
         Symmetric matrix; the diagonal holds each column's own score and is
         not used by the segmentation.
     """
-    return lag_scores(standardized, gamma, m, v_per_lag).max(axis=0)
+    return lag_scores(standardized, gamma, m, threshold).max(axis=0)
 
 
 def ratio_select(scores, c0: float = 0.75, shift: float | None = None) -> int:
@@ -507,14 +497,15 @@ def _maps(
     its lag-0 product gives both the covariance and its level; each lag-k
     product of the standardized series gives both T_k and its level.  The
     v levels are left to the scoring: segment chooses each from the
-    product it scores.  A single column gets the identity rotation and no
+    product it scores, sequential_segment from the centred series
+    returned here.  A single column gets the identity rotation and no
     levels.
     """
     raw = _center(series.data)
     total0 = _lag_product(raw, 0, series.q)
     cov0 = total0 / (series.n * series.p)
     # thresholding leaves the variance of a lone column as it is
-    lag0 = None if series.q == 1 else _level_rule(cfg.threshold, 0, series, raw)
+    lag0 = None if series.q == 1 else _level_rule(cfg.threshold, 0, raw)
     u_lag0 = None if lag0 is None else _definite_level(cov0, lag0(0, total0), cfg.eps)
     # the rule holds the centred raw series too
     del raw, total0, lag0
@@ -522,7 +513,7 @@ def _maps(
     centered = _center(standardized.data)
     if series.q == 1:
         return _Maps(standardizer, np.eye(1)), standardized, centered
-    level = _level_rule(cfg.threshold, 0, standardized, centered)
+    level = _level_rule(cfg.threshold, 0, centered)
     covs, u_per_lag = _row_lag_covs(centered, cfg.k0, level)
     _, gamma = sym_eig(_accumulated(covs))
     return _Maps(standardizer, gamma, u_lag0, u_per_lag), standardized, centered
@@ -574,7 +565,7 @@ def segment(series: MatrixSeries, cfg: SegmentationConfig | None = None) -> Segm
     maps, standardized, centered = _maps(series, cfg)
     matrix = None
     if series.q > 1:
-        level = _level_rule(cfg.threshold, 1, standardized, centered)
+        level = _level_rule(cfg.threshold, 1, centered)
         scores, maps.v_per_lag = _lag_scores(centered, maps.gamma, cfg.m, level)
         matrix = scores.max(axis=0)
         del level  # it holds centered too

@@ -19,8 +19,8 @@ from .segmentation import (
     _grouped,
     _lag_score,
     _maps,
+    _level_rule,
     _sandwich,
-    threshold_levels,
 )
 from .series import MatrixSeries, TensorSeries
 
@@ -159,7 +159,6 @@ def _shared_scores(
     by maximum, which is exact, so the result does not depend on the
     scheduling.
     """
-    _check_score_window(m, centered.shape[0])
     size = int(np.prod(dims)) ** 2
     count = 2 if all(maps.v_per_lag is None for maps in stages) else 3
     # every thread writes into buffers allocated here: glibc keeps the blocks
@@ -229,14 +228,16 @@ def sequential_segment(
         # every mode's scores come from one product of the whole tensor
         with _mode_stage(1):
             _check_pair_size(int(np.prod(dims)), "row-pair covariance tensor")
+        _check_score_window(cfg.m, series.n)
     stages, transformed = [], []
     for mode in range(1, series.order + 1):
         with _mode_stage(mode):
             maps, standardized, own = _maps(MatrixSeries(_unfold_series(data, mode)), cfg)
             if dims[mode - 1] > 1:
                 # segment chooses its v levels while scoring; the shared scores need them first
-                lags = range(cfg.m + 1)
-                maps.v_per_lag = threshold_levels(cfg.threshold, standardized, 1, lags)
+                rule = _level_rule(cfg.threshold, 1, own)
+                maps.v_per_lag = None if rule is None else [rule(h) for h in range(cfg.m + 1)]
+                del rule  # it holds own too
         if mode == 1:
             centered = own
         del own

@@ -10,13 +10,14 @@ import pytest
 from matseg import cli
 from matseg import io as mio
 from matseg.cli import _thread_count, main
+from matseg.estimators import _center
 from matseg.segmentation import (
     CvThreshold,
     FixedThreshold,
     NoThreshold,
     SegmentationConfig,
+    _level_rule,
     lag_scores,
-    threshold_levels,
 )
 from matseg.series import MatrixSeries, TensorSeries
 
@@ -212,7 +213,10 @@ def test_correlogram_input_validation(tmp_path, capsys):
     mio.write_series(tensor_path, TensorSeries(rng.standard_normal((20, 2, 2, 2))))
     out = tmp_path / "out.csv"
 
+    capsys.readouterr()
     assert _run(["correlogram", matrix_path, "--out", out, "--m", 19]) == 3
+    record = _one_error_record(capsys)
+    assert record["message"] == "m must satisfy 0 <= m <= n - 2, got 19 with n = 20"
     assert _run(["correlogram", tensor_path, "--out", out]) == 3
 
     # a tensor document, matrix documents without a numeric standardizer or
@@ -275,23 +279,41 @@ def test_correlogram_rows_are_lag_scores_entries(tmp_path):
     transformed = MatrixSeries(data @ np.asarray(doc["standardizer"]) @ np.asarray(doc["gamma"]))
     m = 3
     cases = [
-        (MatrixSeries(data), ["--threshold", "none"], None),
-        (MatrixSeries(data), ["--threshold", "fixed:0.1,0.05"], [0.05] * (m + 1)),
-        (transformed, ["--threshold", "cv:3", "--seed", 4, "--gamma", result_path], "cv"),
+        (MatrixSeries(data), ["--threshold", "none"], NoThreshold()),
+        (MatrixSeries(data), ["--threshold", "fixed:0.1,0.05"], FixedThreshold(0.1, 0.05)),
+        (
+            transformed,
+            ["--threshold", "cv:3", "--seed", 4, "--gamma", result_path],
+            CvThreshold(n_splits=3, seed=4),
+        ),
     ]
-    for series, flags, v_per_lag in cases:
-        if v_per_lag == "cv":
-            v_per_lag = threshold_levels(CvThreshold(n_splits=3, seed=4), series, 1, range(m + 1))
+    for series, flags, threshold in cases:
+        # each lag's v level chosen on the scored series, then applied at that lag alone
+        rule = _level_rule(threshold, 1, _center(series.data))
+        per_lag = [NoThreshold() if rule is None else FixedThreshold(0.0, rule(h)) for h in range(m + 1)]
         out = tmp_path / "c.csv"
         assert _run(["correlogram", series_path, "--out", out, "--m", m] + flags) == 0
-        scores = lag_scores(series, np.eye(4), m, v_per_lag)
+        scores = [lag_scores(series, np.eye(4), h, level)[h] for h, level in enumerate(per_lag)]
+        assert np.array_equal(scores, lag_scores(series, np.eye(4), m, threshold))
         want = [
-            (i + 1, j + 1, h, float(scores[h, i, j]))
+            (i + 1, j + 1, h, float(scores[h][i, j]))
             for i in range(4)
             for j in range(i, 4)
             for h in range(m + 1)
         ]
         assert mio.read_correlogram_csv(out) == want
+
+
+def test_correlogram_forms_each_full_sample_product_once(tmp_path, full_products):
+    # under cross-validation each lag's v level reads the product the lag is scored on
+    rng = np.random.default_rng((931, 0))
+    series_path = tmp_path / "s.txt"
+    mio.write_series(series_path, MatrixSeries(rng.standard_normal((60, 3, 4))))
+    formed = full_products()
+    m = 4
+    argv = ["correlogram", series_path, "--out", tmp_path / "c.csv", "--m", m, "--threshold", "cv:3"]
+    assert _run(argv) == 0
+    assert formed == {(12, h): 1 for h in range(m + 1)}
 
 
 def test_replicate_report_layout_and_determinism(tmp_path):

@@ -1,6 +1,5 @@
 """Tests for standardization, the transformation, pair scoring and grouping."""
 
-import sys
 import tracemalloc
 from collections import Counter
 
@@ -20,19 +19,19 @@ from matseg import (
     pair_score_matrix,
     segment,
 )
-from matseg import estimators, segmentation
-from matseg.estimators import hard_threshold, pair_autocov_all, row_autocov, w_stat
+from matseg import segmentation
+from matseg.estimators import _center, hard_threshold, pair_autocov_all, row_autocov, w_stat
 from matseg.linalg import sym_eig
 from matseg.segmentation import (
     CvThreshold,
     _component_scales,
     _definite_level,
+    _level_rule,
     _reseeded,
     group_columns,
     lag_scores,
     ratio_select,
     standardize,
-    threshold_levels,
 )
 from matseg.simulation import (
     classify_segmentation,
@@ -46,6 +45,13 @@ from oracles import brute_pair_scores, brute_univariate_corr, dfs_components
 
 def _random_series(rng, n, p, q):
     return MatrixSeries(rng.standard_normal((n, p, q)))
+
+
+def _levels(threshold, series, kind, lags):
+    # each lag's level as the pipeline chooses it on the series, forming
+    # the lag's product; None under NoThreshold
+    rule = _level_rule(threshold, kind, _center(series.data))
+    return None if rule is None else [rule(lag) for lag in lags]
 
 
 def _gamma(standardized):
@@ -179,7 +185,7 @@ def test_cross_corr_white_noise_entries_are_small():
 def test_cross_corr_huge_threshold_zeroes_lagged_numerator():
     rng = np.random.default_rng(36)
     std, _ = standardize(_random_series(rng, 40, 2, 3))
-    scores = lag_scores(std, np.eye(3), 1, [1e9, 1e9])
+    scores = lag_scores(std, np.eye(3), 1, FixedThreshold(0.0, 1e9))
     assert np.array_equal(scores[1], np.zeros((3, 3)))
 
 
@@ -187,8 +193,8 @@ def test_cross_corr_zero_threshold_matches_none():
     rng = np.random.default_rng(37)
     std, _ = standardize(_random_series(rng, 40, 2, 3))
     gamma = _gamma(std)
-    a = lag_scores(std, gamma, 2, None)
-    b = lag_scores(std, gamma, 2, [0.0] * 3)
+    a = lag_scores(std, gamma, 2)
+    b = lag_scores(std, gamma, 2, FixedThreshold(0.0, 0.0))
     assert np.array_equal(a, b)
 
 
@@ -229,7 +235,8 @@ def test_scoring_centres_once_bit_identical_to_per_lag_construction():
     std = MatrixSeries(data)
     gamma, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     m = 5
-    for v_per_lag in (None, [0.05] * (m + 1)):
+    for threshold in (NoThreshold(), FixedThreshold(0.0, 0.05)):
+        v_per_lag = _levels(threshold, std, 1, range(m + 1))
         tensors, lag0 = _per_lag_tensors(std, m, v_per_lag)
         scales = _component_scales(lag0, gamma)
         denom = np.einsum("ki,lj->klij", scales, scales)
@@ -240,14 +247,14 @@ def test_scoring_centres_once_bit_identical_to_per_lag_construction():
             corr = np.abs(sandwich / denom).max(axis=(0, 1))
             best = np.maximum(best, np.maximum(corr, corr.T))
             if h in (0, 1, m):
-                sub = None if v_per_lag is None else v_per_lag[: h + 1]
-                assert np.array_equal(lag_scores(std, gamma, h, sub)[h], np.maximum(corr, corr.T))
-                assert np.array_equal(pair_score_matrix(std, gamma, h, sub), best)
+                got = lag_scores(std, gamma, h, threshold)[h]
+                assert np.array_equal(got, np.maximum(corr, corr.T))
+                assert np.array_equal(pair_score_matrix(std, gamma, h, threshold), best)
 
         # the correlogram is lag_scores on the series itself: gamma = I, and
         # at every lag each score is a symmetrised peak of the per-lag tensor
         eye = np.eye(4)
-        scores = lag_scores(std, eye, m, v_per_lag)
+        scores = lag_scores(std, eye, m, threshold)
         scale = _component_scales(lag0, eye)
         denom = np.einsum("ki,lj->klij", scale, scale)
         for h in range(m + 1):
@@ -273,11 +280,11 @@ def test_pair_score_matrix_is_max_over_lags_of_lag_scores():
         std, _ = standardize(_random_series(rng, n, p, q))
         gamma = _gamma(std)
         m = int(rng.integers(0, min(6, n - 1)))
-        for v_per_lag in (None, [float(rng.uniform(0.0, 0.2))] * (m + 1)):
-            per_lag = lag_scores(std, gamma, m, v_per_lag)
+        for threshold in (NoThreshold(), FixedThreshold(0.0, float(rng.uniform(0.0, 0.2)))):
+            per_lag = lag_scores(std, gamma, m, threshold)
             assert per_lag.shape == (m + 1, q, q)
             assert np.array_equal(per_lag, per_lag.transpose(0, 2, 1))
-            assert np.array_equal(per_lag.max(axis=0), pair_score_matrix(std, gamma, m, v_per_lag))
+            assert np.array_equal(per_lag.max(axis=0), pair_score_matrix(std, gamma, m, threshold))
 
 
 def test_lag_scores_rejects_non_finite_variances_and_scores(monkeypatch):
@@ -300,26 +307,24 @@ def test_lag_scores_rejects_non_finite_variances_and_scores(monkeypatch):
         lag_scores(series, np.eye(3), 2)
 
 
-def test_threshold_levels_per_mode_and_kind():
+def test_level_rule_per_mode_and_kind():
     rng = np.random.default_rng(49)
     series = _random_series(rng, 40, 2, 3)
     lags = [0, 2, 5]
-    assert threshold_levels(NoThreshold(), series, 0, lags) is None
-    assert threshold_levels(NoThreshold(), series, 1, lags) is None
+    assert _levels(NoThreshold(), series, 0, lags) is None
+    assert _levels(NoThreshold(), series, 1, lags) is None
     fixed = FixedThreshold(u=0.3, v=0.1)
-    assert threshold_levels(fixed, series, 0, lags) == [0.3, 0.3, 0.3]
-    assert threshold_levels(fixed, series, 1, range(4)) == [0.1] * 4
-    assert threshold_levels(fixed, series, 0, []) == []
+    assert _levels(fixed, series, 0, lags) == [0.3, 0.3, 0.3]
+    assert _levels(fixed, series, 1, range(4)) == [0.1] * 4
+    assert _levels(fixed, series, 0, []) == []
     mode = CvThreshold(n_splits=3, grid_size=8, seed=11)
     autocov = [cv_threshold_autocov(series, k, _reseeded(mode, mode.seed, 0, k)) for k in lags]
     pair = [cv_threshold_pair(series, h, _reseeded(mode, mode.seed, 1, h)) for h in lags]
-    assert threshold_levels(mode, series, 0, lags) == autocov
-    assert threshold_levels(mode, series, 1, lags) == pair
+    assert _levels(mode, series, 0, lags) == autocov
+    assert _levels(mode, series, 1, lags) == pair
     # the kind and the lag both enter the split seed
     assert _reseeded(mode, mode.seed, 0, 2).seed != _reseeded(mode, mode.seed, 1, 2).seed
     assert _reseeded(mode, mode.seed, 0, 2).seed != _reseeded(mode, mode.seed, 0, 5).seed
-    with pytest.raises(InvalidInput):
-        threshold_levels(fixed, series, 2, lags)
 
 
 def _derived_seed(*key):
@@ -327,14 +332,14 @@ def _derived_seed(*key):
 
 
 def test_cv_reseed_keys_are_pinned():
-    # threshold_levels keys each lag's splits by (seed, kind, lag)
+    # _level_rule keys each lag's splits by (seed, kind, lag)
     rng = np.random.default_rng(48)
     series = _random_series(rng, 40, 2, 3)
     mode = CvThreshold(n_splits=3, grid_size=8, seed=11)
     for kind, estimate in ((0, cv_threshold_autocov), (1, cv_threshold_pair)):
         plans = [CvThreshold(3, 8, _derived_seed(11, kind, lag)) for lag in (1, 3)]
         want = [estimate(series, lag, plan) for lag, plan in zip((1, 3), plans)]
-        assert threshold_levels(mode, series, kind, [1, 3]) == want
+        assert _levels(mode, series, kind, [1, 3]) == want
     # run_replication keys its configuration by (seed, example, n, rep, 7)
     seed, example, n, rep = 5, 1, 150, 3
     cfg = SegmentationConfig(threshold=CvThreshold(n_splits=3, grid_size=8, seed=99))
@@ -359,7 +364,7 @@ def _ar1_series(shift):
 
 def _cv_levels_with_and_without_shift(kind):
     mode = CvThreshold(n_splits=5)
-    return [threshold_levels(mode, _ar1_series(shift), kind, range(4)) for shift in (0.0, 5.0)]
+    return [_levels(mode, _ar1_series(shift), kind, range(4)) for shift in (0.0, 5.0)]
 
 
 def test_cv_autocov_levels_invariant_under_constant_shift():
@@ -402,7 +407,7 @@ def test_lag0_level_is_raised_until_every_higher_level_is_definite():
     series, _ = gen_example(1, 300, np.random.default_rng((11, 1, 300)))
     eps = SegmentationConfig().eps
     cov0 = row_autocov(series, 0)
-    u0 = threshold_levels(CvThreshold(n_splits=5), series, 0, [0])[0]
+    u0 = _levels(CvThreshold(n_splits=5), series, 0, [0])[0]
     assert not _definite(cov0, u0, eps)
     for threshold in (CvThreshold(n_splits=5), FixedThreshold(u=u0, v=0.0)):
         result = segment(series, SegmentationConfig(threshold=threshold))
@@ -451,11 +456,14 @@ def test_segment_cross_validates_lag0_level_once(monkeypatch):
     assert calls == []
 
 
-def test_pair_score_matrix_v_per_lag_length():
+def test_scoring_refuses_a_level_list():
+    # the scores take a threshold mode; a list of levels, even one per lag, is not one
     rng = np.random.default_rng(39)
     std, _ = standardize(_random_series(rng, 20, 2, 3))
-    with pytest.raises(InvalidInput):
-        pair_score_matrix(std, np.eye(3), 2, v_per_lag=[0.1, 0.1])
+    for score in (lag_scores, pair_score_matrix):
+        for levels in ([0.1, 0.1, 0.1], None, "cv:3"):
+            with pytest.raises(InvalidInput, match="threshold mode"):
+                score(std, np.eye(3), 2, levels)
 
 
 def test_max_cross_corr_exact_copy_scores_one():
@@ -632,12 +640,12 @@ def test_segment_result_internal_consistency():
 def test_segment_scores_recompute_bit_stably():
     rng = np.random.default_rng(46)
     series = _random_series(rng, 30, 2, 4)
-    for threshold in (NoThreshold(), FixedThreshold(u=0.1, v=0.05)):
+    for threshold in (NoThreshold(), FixedThreshold(u=0.1, v=0.05), CvThreshold(n_splits=3)):
         cfg = SegmentationConfig(threshold=threshold)
         res = segment(series, cfg)
         std = MatrixSeries(series.data @ res.standardizer)
-        v_per_lag = threshold_levels(threshold, std, 1, range(cfg.m + 1))
-        matrix = pair_score_matrix(std, res.gamma, cfg.m, v_per_lag)
+        # the scores choose the v levels on the standardized series, as segment does
+        matrix = pair_score_matrix(std, res.gamma, cfg.m, threshold)
         for i, j, score in res.scores:
             assert matrix[i - 1, j - 1] == score
 
@@ -708,29 +716,13 @@ def test_segment_forms_the_raw_lag0_covariance_once(monkeypatch, threshold):
     assert lags == [0]
 
 
-def _count_full_products(monkeypatch):
-    # every module binding of _lag_product counts its full-sample calls by (width, lag)
-    formed = Counter()
-    lag_product = estimators._lag_product
-
-    def counting(x, k, width, t=None, out=None):
-        if t is None:
-            formed[width, k] += 1
-        return lag_product(x, k, width, t, out)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("matseg") and getattr(module, "_lag_product", None) is lag_product:
-            monkeypatch.setattr(module, "_lag_product", counting)
-    return formed
-
-
 @pytest.mark.parametrize(
     "threshold", [NoThreshold(), FixedThreshold(0.05, 0.03), CvThreshold(n_splits=3)]
 )
-def test_segment_forms_each_full_sample_product_once(monkeypatch, threshold):
+def test_segment_forms_each_full_sample_product_once(full_products, threshold):
     series, _ = gen_example(1, 300, np.random.default_rng(75))
     p, q = series.p, series.q
-    formed = _count_full_products(monkeypatch)
+    formed = full_products()
     cfg = SegmentationConfig(k0=2, m=3, threshold=threshold)
     segment(series, cfg)
     # the raw lag-0 product, T_1..T_k0 of the standardized series, and each scored lag
@@ -739,10 +731,10 @@ def test_segment_forms_each_full_sample_product_once(monkeypatch, threshold):
     assert formed == want
 
 
-def test_segment_cv_refuses_a_wide_pair_product_before_forming_it(monkeypatch):
+def test_segment_cv_refuses_a_wide_pair_product_before_forming_it(full_products):
     # p q = 10002, so one (p q)^2 product would hold about 10^8 entries (800 MB)
     series = _random_series(np.random.default_rng(76), 12, 5001, 2)
-    formed = _count_full_products(monkeypatch)
+    formed = full_products()
     cfg = SegmentationConfig(m=2, threshold=CvThreshold(n_splits=3, grid_size=8))
     tracemalloc.start()
     try:

@@ -20,9 +20,9 @@ from matseg import (
     segment,
     sequential_segment,
 )
-from matseg import estimators, tensor
+from matseg import estimators, tensor, threshold_cv
 from matseg.estimators import _pair_lag_products
-from matseg.segmentation import _lag_score, _maps, _sandwich, threshold_levels
+from matseg.segmentation import _lag_score, _level_rule, _maps, _sandwich
 from matseg.tensor import _fold_series, _relayout, _shared_scores, _unfold_series
 from matseg.simulation import gen_factor_varma
 from oracles import brute_matricize
@@ -247,6 +247,24 @@ def test_sequential_segment_forms_one_row_pair_product_per_lag(monkeypatch):
     assert sorted(full_width) == list(range(11))
 
 
+def test_sequential_segment_cv_centres_each_mode_twice(count_calls):
+    # each mode centres its raw and its standardized series once; every
+    # level, and the shared scores, read those
+    series = _ar1_tensor((3, 4, 5), 120, 67)
+    centred = count_calls(estimators, "_center")
+    sequential_segment(series, SegmentationConfig(m=10, threshold=CvThreshold(n_splits=3)))
+    assert centred == {"_center": 2 * series.order}
+
+
+def test_sequential_segment_cv_refuses_its_lag_window_before_any_level(count_calls):
+    series = _ar1_tensor((3, 4, 5), 40, 68)
+    levels = count_calls(threshold_cv, "_cv_level")
+    cfg = SegmentationConfig(m=series.n, threshold=CvThreshold(n_splits=3))
+    with pytest.raises(InvalidInput, match=r"^m must satisfy 0 <= m <= n - 2, got 40 with n = 40$"):
+        sequential_segment(series, cfg)
+    assert not levels
+
+
 def _score_inputs(series, cfg):
     # the centred mode-1 series and every mode's maps, as sequential_segment
     # hands them to _shared_scores
@@ -255,7 +273,8 @@ def _score_inputs(series, cfg):
         unfolded = MatrixSeries(_unfold_series(data, mode))
         maps, standardized, own = _maps(unfolded, cfg)
         if unfolded.q > 1:
-            maps.v_per_lag = threshold_levels(cfg.threshold, standardized, 1, range(cfg.m + 1))
+            rule = _level_rule(cfg.threshold, 1, own)
+            maps.v_per_lag = None if rule is None else [rule(h) for h in range(cfg.m + 1)]
         if mode == 1:
             centered = own
         stages.append(maps)
