@@ -10,12 +10,17 @@ from .series import MatrixSeries
 PAIR_TENSOR_ENTRY_LIMIT = 10**8
 
 
-def _check_lag(lag: int, n: int, name: str = "lag") -> int:
-    # lag = n - 1 leaves a single overlapping term, which is still well defined
-    lag = int(lag)
-    if not 0 <= lag <= n - 1:
-        raise InvalidInput(f"{name} must satisfy 0 <= {name} <= n - 1, got {lag} with n = {n}")
-    return lag
+def _check_window(value, n: int, name: str, low: int = 0, gap: int = 1):
+    """value, refused unless low <= value <= n - gap: the one lag-window rule.
+
+    A lag runs over 0..n - 1 (lag n - 1 leaves one overlapping term), k0
+    over 1..n - 2 and the scoring window m over 0..n - 2.
+    """
+    if not low <= value <= n - gap:
+        raise InvalidInput(
+            f"{name} must satisfy {low} <= {name} <= n - {gap}, got {value} with n = {n}"
+        )
+    return value
 
 
 def row_autocov(series: MatrixSeries, k: int) -> np.ndarray:
@@ -36,7 +41,7 @@ def row_autocov(series: MatrixSeries, k: int) -> np.ndarray:
     ndarray, shape (q, q)
     """
     n, p, q = series.n, series.p, series.q
-    k = _check_lag(k, n, "k")
+    k = _check_window(int(k), n, "k")
     return _lag_product(_center(series.data), k, q) / (n * p)
 
 
@@ -80,7 +85,7 @@ def pair_autocov_all(series: MatrixSeries, h: int) -> np.ndarray:
     -------
     ndarray, shape (p, p, q, q)
     """
-    h = _check_lag(h, series.n, "h")
+    h = _check_window(int(h), series.n, "h")
     return _pair_lag_products(_center(series.data), h)
 
 
@@ -172,36 +177,28 @@ def w_stat(series: MatrixSeries, k0: int, u_per_lag=None) -> np.ndarray:
     if u_per_lag is not None and len(u_per_lag) != k0:
         raise InvalidInput(f"u_per_lag must have length {k0}, got {len(u_per_lag)}")
     level = None if u_per_lag is None else lambda k, total: u_per_lag[k - 1]
-    covs, _ = _row_lag_covs(_center(series.data), k0, level)
-    return _accumulated(covs)
+    return _w_and_levels(_center(series.data), k0, level)[0]
 
 
-def _row_lag_covs(centered: np.ndarray, k0: int, level=None) -> tuple[list, list | None]:
-    """The T_k of w_stat, k = 1..k0, from data centred by its full-sample mean.
+def _w_and_levels(centered: np.ndarray, k0: int, level=None) -> tuple[np.ndarray, list | None]:
+    """w_stat of data centred by its full-sample mean, and the levels of its T_k.
 
-    T_k is the row-averaged autocovariance at lag k, hard-thresholded at
-    level(k, total) unless level is None; total is the lag's full-sample
-    _lag_product at width q, which a cross-validated level reads before it
-    is divided.  Returns the T_k and their levels (None when level is).
+    One pass over k = 1..k0 forms each lag's product, T_k and its term
+    T_k @ T_k' of the sum.  T_k is the row-averaged autocovariance at lag
+    k, hard-thresholded at level(k, total) unless level is None; total is
+    the lag's full-sample _lag_product at width q, which a cross-validated
+    level reads before it is divided.  Returns W and the levels (None
+    when level is).
     """
     n, p, q = centered.shape
-    if not 1 <= k0 <= n - 2:
-        raise InvalidInput(f"k0 must satisfy 1 <= k0 <= n - 2, got {k0} with n = {n}")
-    covs, levels = [], None if level is None else []
+    _check_window(k0, n, "k0", 1, 2)
+    w, levels = np.eye(q), None if level is None else []
     for k in range(1, k0 + 1):
         total = _lag_product(centered, k, q)
         cov = total / (n * p)
         if level is not None:
             levels.append(level(k, total))
             cov = hard_threshold(cov, levels[-1])
-        covs.append(cov)
-    return covs, levels
-
-
-def _accumulated(covs: list) -> np.ndarray:
-    """I_q + sum of T_k @ T_k' over the (q, q) T_k of w_stat."""
-    acc = np.eye(covs[0].shape[0])
-    for cov in covs:
-        # numpy forms cov @ cov.T from one triangle, so acc stays exactly symmetric
-        acc += cov @ cov.T
-    return acc
+        # numpy forms cov @ cov.T from one triangle, so w stays exactly symmetric
+        w += cov @ cov.T
+    return w, levels

@@ -17,11 +17,11 @@ import numpy as np
 
 from .errors import DegenerateColumn, DegenerateVariance, InvalidInput
 from .estimators import (
-    _accumulated,
     _center,
+    _check_window,
     _lag_product,
     _pair_lag_products,
-    _row_lag_covs,
+    _w_and_levels,
     hard_threshold,
     row_autocov,
 )
@@ -97,6 +97,8 @@ class SegmentationResult:
     descending; the first selected_edges entries are the retained pairs and
     groups is the resulting partition sorted by smallest member.  a_hat
     contains the gamma columns of each group, in group order.
+    w_eigenvalues are the eigenvalues of the statistic whose eigenvectors
+    are gamma, descending; None for a single column.
     """
 
     gamma: np.ndarray
@@ -109,6 +111,7 @@ class SegmentationResult:
     u_lag0: float | None = None
     u_per_lag: list[float] | None = None
     v_per_lag: list[float] | None = None
+    w_eigenvalues: np.ndarray | None = None
 
 
 def _reseeded(threshold: ThresholdMode, *key: int) -> ThresholdMode:
@@ -129,18 +132,21 @@ def _level_rule(threshold: ThresholdMode, kind: int, centered: np.ndarray):
     centered is the series centred by its full-sample mean.  kind 0
     selects the row-averaged autocovariances (levels u), kind 1 the
     row-pair cross-covariances (levels v).  Returns None under
-    NoThreshold, else a function of a lag and, optionally, the lag's
+    NoThreshold, refuses an object that is no threshold mode, and else
+    returns a function of a lag and, optionally, the lag's
     full-sample _lag_product of centered at the estimate's width (q for
     kind 0, p q for kind 1).  A cross-validated level reads that product
     when it is given and forms it from centered when it is not; the lag is
     not checked.  The pipeline reads the threshold mode here and in
     _reseeded only.
     """
+    if isinstance(threshold, NoThreshold):
+        return None
     if isinstance(threshold, FixedThreshold):
         fixed = threshold.v if kind else threshold.u
         return lambda lag, total=None: fixed
     if not isinstance(threshold, CvThreshold):
-        return None
+        raise InvalidInput(f"unknown threshold mode {threshold!r}")
     _, p, q = centered.shape
     width = p * q if kind else q
 
@@ -180,27 +186,29 @@ def standardize(
     standardizer : ndarray, shape (q, q)
         Symmetric matrix right-multiplied into every observation.
     """
-    return _standardize(series, u0, eps, row_autocov(series, 0))
+    standardized, standardizer = _standardize(series.data, u0, eps, row_autocov(series, 0))
+    return MatrixSeries(standardized), standardizer
 
 
 def _standardize(
-    series: MatrixSeries, u0: float | None, eps: float, cov0: np.ndarray
-) -> tuple[MatrixSeries, np.ndarray]:
-    """standardize, given the raw lag-0 row covariance cov0."""
-    if series.n <= series.q:
+    data: np.ndarray, u0: float | None, eps: float, cov0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """standardize of an (n, p, q) array, given its raw lag-0 row covariance cov0."""
+    n, _, q = data.shape
+    if n <= q:
         warnings.warn(
-            f"series length {series.n} does not exceed column count {series.q}; "
+            f"series length {n} does not exceed column count {q}; "
             "the lag-0 covariance estimate is unreliable",
             stacklevel=3,
         )
     variances = np.diag(cov0)
-    for idx in range(series.q):
+    for idx in range(q):
         if variances[idx] <= 0:
             raise DegenerateColumn(idx + 1)
     if u0 is not None:
         cov0 = hard_threshold(cov0, u0, keep_diagonal=True)
     standardizer = inv_sqrt_psd(cov0, eps)
-    return MatrixSeries(series.data @ standardizer), standardizer
+    return data @ standardizer, standardizer
 
 
 def _definite_level(cov0: np.ndarray, u0: float, eps: float) -> float:
@@ -304,11 +312,6 @@ def _lag_score(
     return np.maximum(corr, corr.T), denom, rotated
 
 
-def _check_score_window(m: int, n: int) -> None:
-    if not 0 <= m <= n - 2:
-        raise InvalidInput(f"m must satisfy 0 <= m <= n - 2, got {m} with n = {n}")
-
-
 def lag_scores(
     standardized: MatrixSeries,
     gamma: np.ndarray,
@@ -329,8 +332,6 @@ def lag_scores(
     -------
     ndarray, shape (m + 1, q, q)
     """
-    if not isinstance(threshold, ThresholdMode):
-        raise InvalidInput(f"unknown threshold mode {threshold!r}")
     centered = _center(standardized.data)
     level = _level_rule(threshold, 1, centered)
     return _lag_scores(centered, np.asarray(gamma, dtype=float), m, level)[0]
@@ -345,7 +346,7 @@ def _lag_scores(centered: np.ndarray, gamma: np.ndarray, m: int, level=None):
     the product that the lag is scored on.  Returns the scores and the
     levels (None when level is).
     """
-    _check_score_window(m, centered.shape[0])
+    _check_window(m, centered.shape[0], "m", 0, 2)
     q = centered.shape[2]
     scores = np.empty((m + 1, q, q))
     levels = None if level is None else []
@@ -478,45 +479,44 @@ def group_columns(edges, q: int) -> list[list[int]]:
 
 @dataclass
 class _Maps:
-    """The maps of one run and the levels behind them, each a SegmentationResult field."""
+    """The maps of one run, W's spectrum and the levels, each a SegmentationResult field."""
 
     standardizer: np.ndarray
     gamma: np.ndarray
+    w_eigenvalues: np.ndarray | None = None
     u_lag0: float | None = None
     u_per_lag: list[float] | None = None
     v_per_lag: list[float] | None = None
 
 
-def _maps(
-    series: MatrixSeries, cfg: SegmentationConfig
-) -> tuple[_Maps, MatrixSeries, np.ndarray]:
-    """First step of segment: the u levels, standardizer and gamma.
+def _maps(data: np.ndarray, cfg: SegmentationConfig) -> tuple[_Maps, np.ndarray, np.ndarray]:
+    """First step of segment: the u levels, standardizer, gamma and W's spectrum.
 
-    Returns the maps, the standardized series that the pair scores are
-    taken on and that series centred.  The raw series is centred once, and
-    its lag-0 product gives both the covariance and its level; each lag-k
-    product of the standardized series gives both T_k and its level.  The
-    v levels are left to the scoring: segment chooses each from the
-    product it scores, sequential_segment from the centred series
-    returned here.  A single column gets the identity rotation and no
-    levels.
+    data is the raw (n, p, q) series.  Returns the maps, the standardized
+    (n, p, q) series that the pair scores are taken on and that series
+    centred.  The raw series is centred once, and its lag-0 product gives
+    both the covariance and its level; each lag-k product of the
+    standardized series gives T_k, its level and its term of W.  The v
+    levels are left to the scoring: segment chooses each from the product
+    it scores, sequential_segment from the centred series returned here.
+    A single column gets the identity rotation, no spectrum and no levels.
     """
-    raw = _center(series.data)
-    total0 = _lag_product(raw, 0, series.q)
-    cov0 = total0 / (series.n * series.p)
+    n, p, q = data.shape
+    raw = _center(data)
+    total0 = _lag_product(raw, 0, q)
+    cov0 = total0 / (n * p)
     # thresholding leaves the variance of a lone column as it is
-    lag0 = None if series.q == 1 else _level_rule(cfg.threshold, 0, raw)
+    lag0 = None if q == 1 else _level_rule(cfg.threshold, 0, raw)
     u_lag0 = None if lag0 is None else _definite_level(cov0, lag0(0, total0), cfg.eps)
     # the rule holds the centred raw series too
     del raw, total0, lag0
-    standardized, standardizer = _standardize(series, u_lag0, cfg.eps, cov0)
-    centered = _center(standardized.data)
-    if series.q == 1:
+    standardized, standardizer = _standardize(data, u_lag0, cfg.eps, cov0)
+    centered = _center(standardized)
+    if q == 1:
         return _Maps(standardizer, np.eye(1)), standardized, centered
-    level = _level_rule(cfg.threshold, 0, centered)
-    covs, u_per_lag = _row_lag_covs(centered, cfg.k0, level)
-    _, gamma = sym_eig(_accumulated(covs))
-    return _Maps(standardizer, gamma, u_lag0, u_per_lag), standardized, centered
+    w, u_per_lag = _w_and_levels(centered, cfg.k0, _level_rule(cfg.threshold, 0, centered))
+    eigenvalues, gamma = sym_eig(w)
+    return _Maps(standardizer, gamma, eigenvalues, u_lag0, u_per_lag), standardized, centered
 
 
 def _grouped(
@@ -562,7 +562,7 @@ def segment(series: MatrixSeries, cfg: SegmentationConfig | None = None) -> Segm
     """
     if cfg is None:
         cfg = SegmentationConfig()
-    maps, standardized, centered = _maps(series, cfg)
+    maps, standardized, centered = _maps(series.data, cfg)
     matrix = None
     if series.q > 1:
         level = _level_rule(cfg.threshold, 1, centered)
@@ -571,4 +571,4 @@ def segment(series: MatrixSeries, cfg: SegmentationConfig | None = None) -> Segm
         del level  # it holds centered too
     del centered
     # formed after scoring, so the scoring pass runs beside one series less
-    return _grouped(maps, matrix, MatrixSeries(standardized.data @ maps.gamma), cfg)
+    return _grouped(maps, matrix, MatrixSeries(standardized @ maps.gamma), cfg)

@@ -10,12 +10,11 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import DegenerateColumn, DegenerateVariance, InvalidInput, ResourceLimit
-from .estimators import _check_pair_size, _pair_lag_products
+from .estimators import _check_pair_size, _check_window, _pair_lag_products
 from .segmentation import (
     SegmentationConfig,
     SegmentationResult,
     _Maps,
-    _check_score_window,
     _grouped,
     _lag_score,
     _maps,
@@ -228,11 +227,11 @@ def sequential_segment(
         # every mode's scores come from one product of the whole tensor
         with _mode_stage(1):
             _check_pair_size(int(np.prod(dims)), "row-pair covariance tensor")
-        _check_score_window(cfg.m, series.n)
+        _check_window(cfg.m, series.n, "m", 0, 2)
     stages, transformed = [], []
     for mode in range(1, series.order + 1):
         with _mode_stage(mode):
-            maps, standardized, own = _maps(MatrixSeries(_unfold_series(data, mode)), cfg)
+            maps, standardized, own = _maps(_unfold_series(data, mode), cfg)
             if dims[mode - 1] > 1:
                 # segment chooses its v levels while scoring; the shared scores need them first
                 rule = _level_rule(cfg.threshold, 1, own)
@@ -242,7 +241,7 @@ def sequential_segment(
             centered = own
         del own
         stages.append(maps)
-        transformed.append(MatrixSeries(standardized.data @ maps.gamma))
+        transformed.append(MatrixSeries(standardized @ maps.gamma))
         del standardized
         data = _fold_series(transformed[-1].data, mode, dims)
     matrices = _shared_scores(centered, stages, dims, cfg.m) if scored else [None] * len(dims)

@@ -9,8 +9,8 @@ import numpy as np
 from .errors import InvalidInput
 from .estimators import (
     _center,
-    _check_lag,
     _check_pair_size,
+    _check_window,
     _lag_product,
     row_autocov,  # noqa: F401  unused here; bench/selftest.py probes this binding
 )
@@ -182,7 +182,7 @@ def cv_threshold_autocov(series: MatrixSeries, k: int, mode: CvThreshold) -> flo
     float
         Selected threshold, >= 0.
     """
-    return _formed_level(series, _check_lag(k, series.n, "k"), mode, series.q)
+    return _formed_level(series, _check_window(int(k), series.n, "k"), mode, series.q)
 
 
 def cv_threshold_pair(series: MatrixSeries, h: int, mode: CvThreshold) -> float:
@@ -206,6 +206,6 @@ def cv_threshold_pair(series: MatrixSeries, h: int, mode: CvThreshold) -> float:
     float
         Selected threshold, >= 0.
     """
-    h = _check_lag(h, series.n, "h")
+    h = _check_window(int(h), series.n, "h")
     _check_pair_size(series.p * series.q, "row-pair covariance matrix")
     return _formed_level(series, h, mode, series.p * series.q)

@@ -549,10 +549,16 @@ def test_overflow_gives_one_error_record_and_no_warning(tmp_path, capsys):
     huge_path = tmp_path / "huge.txt"
     data = np.random.default_rng((920, 1)).standard_normal((200, 3, 4)) * 1e200
     mio.write_series(huge_path, MatrixSeries(data))
+    # the tensor pipeline checks no series of its own before the last mode's
+    huge_tensor_path = tmp_path / "huge_tensor.txt"
+    data = np.random.default_rng((920, 2)).standard_normal((200, 2, 3, 2)) * 1e200
+    mio.write_series(huge_tensor_path, TensorSeries(data))
     commands = [
         ["segment", huge_path, "--out", tmp_path / "r.json"],
         ["segment", huge_path, "--out", tmp_path / "r.json", "--threshold", "cv:3"],
         ["correlogram", huge_path, "--out", tmp_path / "c.csv"],
+        ["segment", huge_tensor_path, "--out", tmp_path / "r.json"],
+        ["segment", huge_tensor_path, "--out", tmp_path / "r.json", "--threshold", "cv:3"],
     ]
     for argv in commands:
         capsys.readouterr()

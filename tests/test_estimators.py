@@ -68,9 +68,9 @@ def test_row_autocov_strided_view_matches_contiguous_copy_in_one_buffer():
 
 def test_row_autocov_lag_bounds():
     series = _random_series(np.random.default_rng(0), 4, 2, 2)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match=r"^k must satisfy 0 <= k <= n - 1, got -1 with n = 4$"):
         row_autocov(series, -1)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match=r"^k must satisfy 0 <= k <= n - 1, got 4 with n = 4$"):
         row_autocov(series, 4)
 
 
@@ -303,9 +303,9 @@ def test_w_stat_eigenvalues_at_least_one():
 
 def test_w_stat_k0_bounds():
     series = _random_series(np.random.default_rng(0), 5, 2, 2)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match=r"^k0 must satisfy 1 <= k0 <= n - 2, got 0 with n = 5$"):
         w_stat(series, 0)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match=r"^k0 must satisfy 1 <= k0 <= n - 2, got 4 with n = 5$"):
         w_stat(series, 4)
     with pytest.raises(InvalidInput):
         w_stat(series, 2, u_per_lag=[0.1])

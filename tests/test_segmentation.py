@@ -20,6 +20,7 @@ from matseg import (
     segment,
 )
 from matseg import segmentation
+from matseg import series as containers
 from matseg.estimators import _center, hard_threshold, pair_autocov_all, row_autocov, w_stat
 from matseg.linalg import sym_eig
 from matseg.segmentation import (
@@ -325,6 +326,15 @@ def test_level_rule_per_mode_and_kind():
     # the kind and the lag both enter the split seed
     assert _reseeded(mode, mode.seed, 0, 2).seed != _reseeded(mode, mode.seed, 1, 2).seed
     assert _reseeded(mode, mode.seed, 0, 2).seed != _reseeded(mode, mode.seed, 0, 5).seed
+
+
+def test_level_rule_refuses_what_is_no_threshold_mode():
+    # a list of levels is refused, not read as "no threshold" and scored raw
+    centered = _center(_random_series(np.random.default_rng(50), 40, 2, 3).data)
+    for kind in (0, 1):
+        for threshold in ([0.1, 0.2], None, "cv:3"):
+            with pytest.raises(InvalidInput, match=r"^unknown threshold mode "):
+                _level_rule(threshold, kind, centered)
 
 
 def _derived_seed(*key):
@@ -745,3 +755,27 @@ def test_segment_cv_refuses_a_wide_pair_product_before_forming_it(full_products)
         tracemalloc.stop()
     assert not [key for key in formed if key[0] == series.p * series.q]
     assert peak < 50e6
+
+
+@pytest.mark.parametrize("threshold", [NoThreshold(), CvThreshold(n_splits=3)], ids=["none", "cv"])
+def test_segment_keeps_the_spectrum_of_w(threshold):
+    series, _ = gen_example(1, 300, np.random.default_rng(77))
+    cfg = SegmentationConfig(threshold=threshold)
+    result = segment(series, cfg)
+    standardized, _ = standardize(series, result.u_lag0, cfg.eps)
+    w = w_stat(standardized, cfg.k0, result.u_per_lag)
+    assert np.array_equal(result.w_eigenvalues, sym_eig(w)[0])
+    assert np.max(np.abs(result.w_eigenvalues - np.linalg.eigvalsh(w)[::-1])) <= 1e-12
+    # a lone column has no statistic to decompose
+    lone = segment(_random_series(np.random.default_rng(78), 50, 3, 1), cfg)
+    assert lone.w_eigenvalues is None
+
+
+@pytest.mark.parametrize("threshold", [NoThreshold(), CvThreshold(n_splits=3)], ids=["none", "cv"])
+def test_segment_checks_only_the_series_it_returns(count_calls, threshold):
+    # the input was checked when it was built; of the pipeline's own arrays
+    # only the transformed series leaves it as a MatrixSeries
+    series, _ = gen_example(1, 300, np.random.default_rng(79))
+    checks = count_calls(containers, "_series_array")
+    segment(series, SegmentationConfig(threshold=threshold))
+    assert checks == {"_series_array": 1}

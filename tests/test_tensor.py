@@ -21,8 +21,10 @@ from matseg import (
     sequential_segment,
 )
 from matseg import estimators, tensor, threshold_cv
-from matseg.estimators import _pair_lag_products
-from matseg.segmentation import _lag_score, _level_rule, _maps, _sandwich
+from matseg import series as containers
+from matseg.estimators import _pair_lag_products, w_stat
+from matseg.linalg import sym_eig
+from matseg.segmentation import _lag_score, _level_rule, _maps, _sandwich, standardize
 from matseg.tensor import _fold_series, _relayout, _shared_scores, _unfold_series
 from matseg.simulation import gen_factor_varma
 from oracles import brute_matricize
@@ -270,15 +272,14 @@ def _score_inputs(series, cfg):
     # hands them to _shared_scores
     data, dims, stages = series.data, series.dims, []
     for mode in range(1, series.order + 1):
-        unfolded = MatrixSeries(_unfold_series(data, mode))
-        maps, standardized, own = _maps(unfolded, cfg)
-        if unfolded.q > 1:
+        maps, standardized, own = _maps(_unfold_series(data, mode), cfg)
+        if dims[mode - 1] > 1:
             rule = _level_rule(cfg.threshold, 1, own)
             maps.v_per_lag = None if rule is None else [rule(h) for h in range(cfg.m + 1)]
         if mode == 1:
             centered = own
         stages.append(maps)
-        data = _fold_series(standardized.data @ maps.gamma, mode, dims)
+        data = _fold_series(standardized @ maps.gamma, mode, dims)
     return centered, stages
 
 
@@ -424,3 +425,31 @@ def test_mode_stage_errors_name_the_mode(monkeypatch):
         sequential_segment(series)
     monkeypatch.setattr(estimators, "PAIR_TENSOR_ENTRY_LIMIT", 3600)
     sequential_segment(series)
+
+
+@pytest.mark.parametrize("threshold", [NoThreshold(), CvThreshold(n_splits=3)], ids=["none", "cv"])
+def test_sequential_segment_keeps_the_w_spectrum_of_every_scored_mode(threshold):
+    dims = (2, 1, 3, 2)
+    series = _ar1_tensor(dims, 150, 69)
+    cfg = SegmentationConfig(m=3, threshold=threshold)
+    results, _ = sequential_segment(series, cfg)
+    data = series.data
+    for mode, result in enumerate(results, start=1):
+        if dims[mode - 1] == 1:
+            assert result.w_eigenvalues is None
+        else:
+            unfolded = MatrixSeries(_unfold_series(data, mode))
+            standardized, _ = standardize(unfolded, result.u_lag0, cfg.eps)
+            w = w_stat(standardized, cfg.k0, result.u_per_lag)
+            assert np.array_equal(result.w_eigenvalues, sym_eig(w)[0])
+        data = _fold_series(result.transformed.data, mode, dims)
+
+
+@pytest.mark.parametrize("threshold", [NoThreshold(), CvThreshold(n_splits=3)], ids=["none", "cv"])
+def test_sequential_segment_checks_only_the_series_it_returns(count_calls, threshold):
+    # each mode's transformed series and the final tensor; the unfoldings and
+    # standardized series stay plain arrays
+    series = _ar1_tensor((3, 4, 5), 120, 70)
+    checks = count_calls(containers, "_series_array")
+    sequential_segment(series, SegmentationConfig(m=3, threshold=threshold))
+    assert checks == {"_series_array": series.order + 1}
