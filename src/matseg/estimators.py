@@ -86,7 +86,7 @@ def pair_autocov_all(series: MatrixSeries, h: int) -> np.ndarray:
     ndarray, shape (p, p, q, q)
     """
     h = _check_window(int(h), series.n, "h")
-    return _pair_lag_products(_center(series.data), h)
+    return _pair_lag_products(_center(series.data), h)[0]
 
 
 def _check_pair_size(width: int, what: str) -> None:
@@ -95,23 +95,22 @@ def _check_pair_size(width: int, what: str) -> None:
         raise ResourceLimit(f"{what} would hold {width * width} entries")
 
 
-def _pair_lag_products(centered: np.ndarray, h: int, out=None, raw=None) -> np.ndarray:
-    """pair_autocov_all at lag h from data already centred by its full-sample mean.
+def _pair_lag_products(centered: np.ndarray, h: int, level=None, out=None):
+    """pair_autocov_all at lag h from data already centred by its full-sample mean, and its level.
 
     Scoring passes centre once and call this per lag; h is not checked.
-    out, if given, is a C-ordered buffer of (p q)^2 entries that receives
-    the product; the result is a view of it.  raw, if given, is called
-    with the (p q, p q) product before it is divided by n in place, for a
-    level that must read the undivided sum: (x / n) * n is not x in
-    floating point.
+    The level is None, or the kind-1 rule level (see _level_rule in
+    segmentation) read on the undivided (p q, p q) product, since
+    (x / n) * n is not x in floating point.  out, if given, is a C-ordered
+    buffer of (p q)^2 entries that receives the product; the tensor is a
+    view of it.
     """
     n, p, q = centered.shape
     _check_pair_size(p * q, "row-pair covariance tensor")
     flat = _lag_product(centered, h, p * q, out=None if out is None else out.reshape(p * q, p * q))
-    if raw is not None:
-        raw(flat)
+    v = None if level is None else level(centered, h, flat)
     flat /= n
-    return flat.reshape(p, q, p, q).transpose(0, 2, 1, 3)
+    return flat.reshape(p, q, p, q).transpose(0, 2, 1, 3), v
 
 
 def hard_threshold(matrix, u: float, keep_diagonal: bool = False, out=None) -> np.ndarray:
@@ -176,7 +175,7 @@ def w_stat(series: MatrixSeries, k0: int, u_per_lag=None) -> np.ndarray:
     """
     if u_per_lag is not None and len(u_per_lag) != k0:
         raise InvalidInput(f"u_per_lag must have length {k0}, got {len(u_per_lag)}")
-    level = None if u_per_lag is None else lambda k, total: u_per_lag[k - 1]
+    level = None if u_per_lag is None else lambda centered, k, total: u_per_lag[k - 1]
     return _w_and_levels(_center(series.data), k0, level)[0]
 
 
@@ -185,10 +184,10 @@ def _w_and_levels(centered: np.ndarray, k0: int, level=None) -> tuple[np.ndarray
 
     One pass over k = 1..k0 forms each lag's product, T_k and its term
     T_k @ T_k' of the sum.  T_k is the row-averaged autocovariance at lag
-    k, hard-thresholded at level(k, total) unless level is None; total is
-    the lag's full-sample _lag_product at width q, which a cross-validated
-    level reads before it is divided.  Returns W and the levels (None
-    when level is).
+    k, hard-thresholded at level(centered, k, total) unless level is None;
+    total is the lag's full-sample _lag_product at width q, which a
+    cross-validated level reads before it is divided.  Returns W and the
+    levels (None when level is).
     """
     n, p, q = centered.shape
     _check_window(k0, n, "k0", 1, 2)
@@ -197,7 +196,7 @@ def _w_and_levels(centered: np.ndarray, k0: int, level=None) -> tuple[np.ndarray
         total = _lag_product(centered, k, q)
         cov = total / (n * p)
         if level is not None:
-            levels.append(level(k, total))
+            levels.append(level(centered, k, total))
             cov = hard_threshold(cov, levels[-1])
         # numpy forms cov @ cov.T from one triangle, so w stays exactly symmetric
         w += cov @ cov.T

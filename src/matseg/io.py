@@ -36,6 +36,7 @@ from .segmentation import (
 )
 from .series import MatrixSeries, TensorSeries
 from .simulation import ExperimentReport, GroundTruth
+from .tensor import _fold_series, _unfold_series
 
 MAGIC_PREFIX = "matseg"
 FORMAT_VERSION = 1
@@ -150,9 +151,8 @@ def write_series(path, series: MatrixSeries | TensorSeries) -> None:
     elif isinstance(series, TensorSeries):
         dims = ",".join(str(d) for d in series.dims)
         header = f"{MAGIC_PREFIX},tensor,{FORMAT_VERSION}\n{series.n},{series.order},{dims}\n"
-        # each tensor flattens mode-major (index 1 fastest) independently of
-        # the leading time axis
-        flat = series.data.transpose(0, *range(series.order, 0, -1)).reshape(series.n, -1)
+        # a data row is the tensor's mode-1 unfolding, flattened: index 1 fastest
+        flat = _unfold_series(series.data, 1).reshape(series.n, -1)
     else:
         raise InvalidInput(f"cannot write object of type {type(series).__name__}")
     with open(path, "w") as handle:
@@ -214,9 +214,7 @@ def read_series(path) -> MatrixSeries | TensorSeries:
         _raise_series_fault(path)
     if kind == "matrix":
         return MatrixSeries(table.reshape(n, *dims))
-    # undo the first-index-fastest flattening of every tensor at once
-    folded = table.reshape(n, *dims[::-1]).transpose(0, *range(len(dims), 0, -1))
-    return TensorSeries(np.ascontiguousarray(folded))
+    return TensorSeries(np.ascontiguousarray(_fold_series(table, 1, dims)))
 
 
 def write_truth(path, truth: GroundTruth) -> None:

@@ -126,31 +126,30 @@ def _reseeded(threshold: ThresholdMode, *key: int) -> ThresholdMode:
     return replace(threshold, seed=derived)
 
 
-def _level_rule(threshold: ThresholdMode, kind: int, centered: np.ndarray):
-    """The level of one covariance estimate of a series as a function of the lag.
+def _level_rule(threshold: ThresholdMode, kind: int):
+    """The level of one covariance estimate of a series, as a function of the series.
 
-    centered is the series centred by its full-sample mean.  kind 0
-    selects the row-averaged autocovariances (levels u), kind 1 the
+    kind 0 selects the row-averaged autocovariances (levels u), kind 1 the
     row-pair cross-covariances (levels v).  Returns None under
     NoThreshold, refuses an object that is no threshold mode, and else
-    returns a function of a lag and, optionally, the lag's
+    returns level(centered, lag, total=None): the level at the lag of the
+    series centred by its full-sample mean, given, optionally, the lag's
     full-sample _lag_product of centered at the estimate's width (q for
     kind 0, p q for kind 1).  A cross-validated level reads that product
-    when it is given and forms it from centered when it is not; the lag is
-    not checked.  The pipeline reads the threshold mode here and in
-    _reseeded only.
+    when it is given and forms it when it is not; the lag is not checked.
+    The pipeline reads the threshold mode here and in _reseeded only.
     """
     if isinstance(threshold, NoThreshold):
         return None
     if isinstance(threshold, FixedThreshold):
         fixed = threshold.v if kind else threshold.u
-        return lambda lag, total=None: fixed
+        return lambda centered, lag, total=None: fixed
     if not isinstance(threshold, CvThreshold):
         raise InvalidInput(f"unknown threshold mode {threshold!r}")
-    _, p, q = centered.shape
-    width = p * q if kind else q
 
-    def level(lag, total=None):
+    def level(centered, lag, total=None):
+        _, p, q = centered.shape
+        width = p * q if kind else q
         if total is None:
             total = _lag_product(centered, lag, width)
         plan = _reseeded(threshold, threshold.seed, kind, lag)
@@ -186,20 +185,24 @@ def standardize(
     standardizer : ndarray, shape (q, q)
         Symmetric matrix right-multiplied into every observation.
     """
-    standardized, standardizer = _standardize(series.data, u0, eps, row_autocov(series, 0))
+    standardized, standardizer = _standardize(series.data, u0, eps, row_autocov(series, 0), 3)
     return MatrixSeries(standardized), standardizer
 
 
 def _standardize(
-    data: np.ndarray, u0: float | None, eps: float, cov0: np.ndarray
+    data: np.ndarray, u0: float | None, eps: float, cov0: np.ndarray, stacklevel: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """standardize of an (n, p, q) array, given its raw lag-0 row covariance cov0."""
+    """standardize of an (n, p, q) array, given its raw lag-0 row covariance cov0.
+
+    stacklevel is the short-series warning's, chosen by the caller so that
+    the warning names the user's call.
+    """
     n, _, q = data.shape
     if n <= q:
         warnings.warn(
             f"series length {n} does not exceed column count {q}; "
             "the lag-0 covariance estimate is unreliable",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     variances = np.diag(cov0)
     for idx in range(q):
@@ -332,37 +335,32 @@ def lag_scores(
     -------
     ndarray, shape (m + 1, q, q)
     """
-    centered = _center(standardized.data)
-    level = _level_rule(threshold, 1, centered)
-    return _lag_scores(centered, np.asarray(gamma, dtype=float), m, level)[0]
+    level = _level_rule(threshold, 1)
+    return _lag_scores(_center(standardized.data), np.asarray(gamma, dtype=float), m, level)[0]
 
 
 def _lag_scores(centered: np.ndarray, gamma: np.ndarray, m: int, level=None):
     """lag_scores of a centred standardized series, and the level of each lag.
 
-    The one matrix scoring loop.  level, if given, is a function of the
-    lag h and its undivided (p q, p q) product that gives the lag's level
-    v; it runs inside _pair_lag_products, so a cross-validated level reads
+    The one matrix scoring loop.  level, if given, is a level rule of kind
+    1; _pair_lag_products applies it, so a cross-validated level reads
     the product that the lag is scored on.  Returns the scores and the
     levels (None when level is).
     """
     _check_window(m, centered.shape[0], "m", 0, 2)
     q = centered.shape[2]
     scores = np.empty((m + 1, q, q))
-    levels = None if level is None else []
+    levels = []
     denom = None
     for h in range(m + 1):
-        if level is None:
-            tensor = _pair_lag_products(centered, h)
-        else:
-            tensor = _pair_lag_products(centered, h, raw=lambda t: levels.append(level(h, t)))
-        v = None if levels is None else levels[h]
+        tensor, v = _pair_lag_products(centered, h, level)
+        levels.append(v)
         scores[h], denom, _ = _lag_score(tensor, gamma, v, h, denom)
         # the next lag's product and level are formed with this lag's tensors freed
         del tensor, _
     if not np.all(np.isfinite(scores)):
         raise InvalidInput("pair scores are not finite")
-    return scores, levels
+    return scores, None if level is None else levels
 
 
 def pair_score_matrix(
@@ -492,7 +490,8 @@ class _Maps:
 def _maps(data: np.ndarray, cfg: SegmentationConfig) -> tuple[_Maps, np.ndarray, np.ndarray]:
     """First step of segment: the u levels, standardizer, gamma and W's spectrum.
 
-    data is the raw (n, p, q) series.  Returns the maps, the standardized
+    data is the raw (n, p, q) series of the user's call to a driver, whose
+    lag windows the driver has checked.  Returns the maps, the standardized
     (n, p, q) series that the pair scores are taken on and that series
     centred.  The raw series is centred once, and its lag-0 product gives
     both the covariance and its level; each lag-k product of the
@@ -506,15 +505,14 @@ def _maps(data: np.ndarray, cfg: SegmentationConfig) -> tuple[_Maps, np.ndarray,
     total0 = _lag_product(raw, 0, q)
     cov0 = total0 / (n * p)
     # thresholding leaves the variance of a lone column as it is
-    lag0 = None if q == 1 else _level_rule(cfg.threshold, 0, raw)
-    u_lag0 = None if lag0 is None else _definite_level(cov0, lag0(0, total0), cfg.eps)
-    # the rule holds the centred raw series too
-    del raw, total0, lag0
-    standardized, standardizer = _standardize(data, u_lag0, cfg.eps, cov0)
+    level = None if q == 1 else _level_rule(cfg.threshold, 0)
+    u_lag0 = None if level is None else _definite_level(cov0, level(raw, 0, total0), cfg.eps)
+    del raw
+    standardized, standardizer = _standardize(data, u_lag0, cfg.eps, cov0, 4)
     centered = _center(standardized)
     if q == 1:
         return _Maps(standardizer, np.eye(1)), standardized, centered
-    w, u_per_lag = _w_and_levels(centered, cfg.k0, _level_rule(cfg.threshold, 0, centered))
+    w, u_per_lag = _w_and_levels(centered, cfg.k0, level)
     eigenvalues, gamma = sym_eig(w)
     return _Maps(standardizer, gamma, eigenvalues, u_lag0, u_per_lag), standardized, centered
 
@@ -562,13 +560,16 @@ def segment(series: MatrixSeries, cfg: SegmentationConfig | None = None) -> Segm
     """
     if cfg is None:
         cfg = SegmentationConfig()
+    if series.q > 1:
+        # refused before any estimate, as sequential_segment refuses them
+        _check_window(cfg.k0, series.n, "k0", 1, 2)
+        _check_window(cfg.m, series.n, "m", 0, 2)
     maps, standardized, centered = _maps(series.data, cfg)
     matrix = None
     if series.q > 1:
-        level = _level_rule(cfg.threshold, 1, centered)
+        level = _level_rule(cfg.threshold, 1)
         scores, maps.v_per_lag = _lag_scores(centered, maps.gamma, cfg.m, level)
         matrix = scores.max(axis=0)
-        del level  # it holds centered too
     del centered
     # formed after scoring, so the scoring pass runs beside one series less
     return _grouped(maps, matrix, MatrixSeries(standardized @ maps.gamma), cfg)

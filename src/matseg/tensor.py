@@ -24,23 +24,28 @@ from .segmentation import (
 from .series import MatrixSeries, TensorSeries
 
 
+def _layout(mode: int, order: int) -> list[int]:
+    """Tensor axes 1..order in mode m's C-order layout, slowest first: the one unfolding rule.
+
+    The rows run over the other modes, lowest-numbered fastest, and the
+    columns are mode m.
+    """
+    return [a for a in range(order, 0, -1) if a != mode] + [mode]
+
+
 def _unfold_series(data: np.ndarray, mode: int) -> np.ndarray:
     """Mode-m matrix series of an (n, p1, ..., pr) array, 1-based mode.
 
     Returns a C-ordered (n, prod of the other dims, p_mode) array: each
-    tensor's mode-m unfolding, transposed so that the columns are mode m's
-    indices and the rows run over the other modes, lowest-numbered fastest.
+    tensor's mode-m unfolding, transposed to the layout of :func:`_layout`.
     """
-    rest = [a for a in range(1, data.ndim) if a != mode]
-    # reversing the other axes before a C-order reshape flattens them in
-    # Fortran order, i.e. lowest-numbered remaining mode fastest
-    arranged = np.ascontiguousarray(data.transpose(0, *rest[::-1], mode))
+    arranged = np.ascontiguousarray(data.transpose(0, *_layout(mode, data.ndim - 1)))
     return arranged.reshape(data.shape[0], -1, data.shape[mode])
 
 
 def _fold_series(mat: np.ndarray, mode: int, dims: tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`_unfold_series`."""
-    axes = [0] + [a for a in range(len(dims), 0, -1) if a != mode] + [mode]
+    """Inverse of :func:`_unfold_series`; mat may be any shape of the same C-order entries."""
+    axes = [0] + _layout(mode, len(dims))
     arranged = mat.reshape([mat.shape[0]] + [dims[a - 1] for a in axes[1:]])
     return arranged.transpose(np.argsort(axes))
 
@@ -48,28 +53,23 @@ def _fold_series(mat: np.ndarray, mode: int, dims: tuple[int, ...]) -> np.ndarra
 def _layout_axes(mode: int, order: int) -> list[int]:
     """Axes of a (rows, rows, cols, cols) mode-m pair tensor, as tensor axes.
 
-    Lead tensor axis a is labelled a and base axis a is labelled order + a.
-    The rows run over the other modes, lowest-numbered fastest, and the
-    columns are mode m, as in :func:`_unfold_series`.
+    Lead tensor axis a is labelled a - 1 and base axis a is labelled
+    order + a - 1; each tensor's axes run in :func:`_layout`'s order.
     """
-    rest = [a for a in range(order) if a != mode - 1][::-1]
-    return rest + [order + a for a in rest] + [mode - 1, order + mode - 1]
+    *rows, col = (a - 1 for a in _layout(mode, order))
+    return rows + [order + a for a in rows] + [col, order + col]
 
 
-def _relayout(
-    tensor: np.ndarray, src: int, dst: int, dims: tuple[int, ...], out=None
-) -> np.ndarray:
+def _relayout(tensor: np.ndarray, src: int, dst: int, dims: tuple[int, ...], out) -> np.ndarray:
     """A pair tensor in mode src's layout re-indexed into mode dst's.
 
-    out, if given, is a C-ordered array of mode dst's shape, sharing no
-    memory with tensor, that receives the re-indexed copy.
+    out is a C-ordered array of mode dst's shape, sharing no memory with
+    tensor, that receives the re-indexed copy.
     """
     order = len(dims)
     src_axes, dst_axes = _layout_axes(src, order), _layout_axes(dst, order)
     full = tensor.reshape([dims[a % order] for a in src_axes])
     moved = full.transpose([src_axes.index(a) for a in dst_axes])
-    if out is None:
-        return moved.reshape(_pair_shape(dst, dims))
     np.copyto(out.reshape(moved.shape), moved)
     return out
 
@@ -112,7 +112,7 @@ def _lag_mode_scores(
     """
     order = len(dims)
     held, work = buffers[:2]
-    tensor = _pair_lag_products(centered, h, out=held)
+    tensor, _ = _pair_lag_products(centered, h, out=held)
     scores = [None] * order
     for mode, maps in enumerate(stages, start=1):
         shape = _pair_shape(mode, dims)
@@ -227,16 +227,16 @@ def sequential_segment(
         # every mode's scores come from one product of the whole tensor
         with _mode_stage(1):
             _check_pair_size(int(np.prod(dims)), "row-pair covariance tensor")
+        _check_window(cfg.k0, series.n, "k0", 1, 2)
         _check_window(cfg.m, series.n, "m", 0, 2)
+    # segment chooses its v levels while scoring; the shared scores need them first
+    rule = _level_rule(cfg.threshold, 1)
     stages, transformed = [], []
     for mode in range(1, series.order + 1):
         with _mode_stage(mode):
             maps, standardized, own = _maps(_unfold_series(data, mode), cfg)
-            if dims[mode - 1] > 1:
-                # segment chooses its v levels while scoring; the shared scores need them first
-                rule = _level_rule(cfg.threshold, 1, own)
-                maps.v_per_lag = None if rule is None else [rule(h) for h in range(cfg.m + 1)]
-                del rule  # it holds own too
+            if dims[mode - 1] > 1 and rule is not None:
+                maps.v_per_lag = [rule(own, h) for h in range(cfg.m + 1)]
         if mode == 1:
             centered = own
         del own

@@ -289,8 +289,9 @@ def test_correlogram_rows_are_lag_scores_entries(tmp_path):
     ]
     for series, flags, threshold in cases:
         # each lag's v level chosen on the scored series, then applied at that lag alone
-        rule = _level_rule(threshold, 1, _center(series.data))
-        per_lag = [NoThreshold() if rule is None else FixedThreshold(0.0, rule(h)) for h in range(m + 1)]
+        rule, centered = _level_rule(threshold, 1), _center(series.data)
+        levels = [None if rule is None else rule(centered, h) for h in range(m + 1)]
+        per_lag = [NoThreshold() if v is None else FixedThreshold(0.0, v) for v in levels]
         out = tmp_path / "c.csv"
         assert _run(["correlogram", series_path, "--out", out, "--m", m] + flags) == 0
         scores = [lag_scores(series, np.eye(4), h, level)[h] for h, level in enumerate(per_lag)]

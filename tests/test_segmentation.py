@@ -51,8 +51,8 @@ def _random_series(rng, n, p, q):
 def _levels(threshold, series, kind, lags):
     # each lag's level as the pipeline chooses it on the series, forming
     # the lag's product; None under NoThreshold
-    rule = _level_rule(threshold, kind, _center(series.data))
-    return None if rule is None else [rule(lag) for lag in lags]
+    rule, centered = _level_rule(threshold, kind), _center(series.data)
+    return None if rule is None else [rule(centered, lag) for lag in lags]
 
 
 def _gamma(standardized):
@@ -299,9 +299,9 @@ def test_lag_scores_rejects_non_finite_variances_and_scores(monkeypatch):
     assert np.all(np.isfinite(lag_scores(series, np.eye(3), 2)))
     products = segmentation._pair_lag_products
 
-    def overflow_at_lag_2(centered, h):
-        out = products(centered, h)
-        return out * np.inf if h == 2 else out
+    def overflow_at_lag_2(centered, h, level):
+        tensor, v = products(centered, h, level)
+        return (tensor * np.inf if h == 2 else tensor), v
 
     monkeypatch.setattr(segmentation, "_pair_lag_products", overflow_at_lag_2)
     with np.errstate(invalid="ignore"), pytest.raises(InvalidInput, match="scores"):
@@ -330,11 +330,10 @@ def test_level_rule_per_mode_and_kind():
 
 def test_level_rule_refuses_what_is_no_threshold_mode():
     # a list of levels is refused, not read as "no threshold" and scored raw
-    centered = _center(_random_series(np.random.default_rng(50), 40, 2, 3).data)
     for kind in (0, 1):
         for threshold in ([0.1, 0.2], None, "cv:3"):
             with pytest.raises(InvalidInput, match=r"^unknown threshold mode "):
-                _level_rule(threshold, kind, centered)
+                _level_rule(threshold, kind)
 
 
 def _derived_seed(*key):

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from matseg import series as containers
 from matseg.estimators import _pair_lag_products, w_stat
 from matseg.linalg import sym_eig
 from matseg.segmentation import _lag_score, _level_rule, _maps, _sandwich, standardize
-from matseg.tensor import _fold_series, _relayout, _shared_scores, _unfold_series
+from matseg.tensor import (
+    _fold_series,
+    _pair_shape,
+    _relayout,
+    _shared_scores,
+    _unfold_series,
+)
 from matseg.simulation import gen_factor_varma
 from oracles import brute_matricize
 
@@ -267,15 +274,56 @@ def test_sequential_segment_cv_refuses_its_lag_window_before_any_level(count_cal
     assert not levels
 
 
+# each driver, on a raw (n, p, q) array read as its own series type
+_DRIVERS = {
+    "segment": lambda data, cfg: segment(MatrixSeries(data), cfg),
+    "sequential_segment": lambda data, cfg: sequential_segment(TensorSeries(data), cfg),
+}
+
+
+@pytest.mark.parametrize("driver", _DRIVERS)
+def test_drivers_refuse_their_lag_windows_before_any_estimate(count_calls, driver):
+    # a 5x2x6 series is too short for the default m = 10: it is refused
+    # before it is centred or warned about as shorter than its column count
+    data = np.random.default_rng(69).standard_normal((5, 2, 6))
+    centred = count_calls(estimators, "_center")
+    refusal = r"^m must satisfy 0 <= m <= n - 2, got 10 with n = 5$"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidInput, match=refusal):
+            _DRIVERS[driver](data, SegmentationConfig())
+    assert not caught
+    assert not centred
+    # a window refusal wins over a constant column, which only estimation finds
+    data = data[:3].copy()
+    data[:, :, 1] = 7.0
+    with pytest.raises(InvalidInput, match=r"^k0 must satisfy 1 <= k0 <= n - 2, got 2 with n = 3$"):
+        _DRIVERS[driver](data, SegmentationConfig(m=1))
+
+
+@pytest.mark.parametrize("call", ["standardize", *_DRIVERS])
+def test_short_series_warning_names_the_line_of_the_call(call):
+    data = np.random.default_rng(70).standard_normal((5, 2, 6))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if call == "standardize":
+            standardize(MatrixSeries(data))
+        else:
+            _DRIVERS[call](data, SegmentationConfig(k0=1, m=2))
+    short = [w for w in caught if "does not exceed column count" in str(w.message)]
+    assert short
+    assert all(w.filename == __file__ for w in short)
+
+
 def _score_inputs(series, cfg):
     # the centred mode-1 series and every mode's maps, as sequential_segment
     # hands them to _shared_scores
     data, dims, stages = series.data, series.dims, []
+    rule = _level_rule(cfg.threshold, 1)
     for mode in range(1, series.order + 1):
         maps, standardized, own = _maps(_unfold_series(data, mode), cfg)
-        if dims[mode - 1] > 1:
-            rule = _level_rule(cfg.threshold, 1, own)
-            maps.v_per_lag = None if rule is None else [rule(h) for h in range(cfg.m + 1)]
+        if dims[mode - 1] > 1 and rule is not None:
+            maps.v_per_lag = [rule(own, h) for h in range(cfg.m + 1)]
         if mode == 1:
             centered = own
         stages.append(maps)
@@ -288,10 +336,12 @@ def _serial_scores(centered, stages, dims, m):
     best = [np.zeros((q, q)) for q in dims]
     denoms = [None] * len(dims)
     for h in range(m + 1):
-        product = _pair_lag_products(centered, h)
+        product, _ = _pair_lag_products(centered, h)
         for mode, maps in enumerate(stages, start=1):
             if mode > 1:
-                product = _sandwich(_relayout(carried, mode - 1, mode, dims), maps.standardizer)
+                fresh = np.empty(_pair_shape(mode, dims))
+                product = _relayout(carried, mode - 1, mode, dims, fresh)
+                product = _sandwich(product, maps.standardizer)
             if dims[mode - 1] == 1:
                 carried = product
                 continue
@@ -397,12 +447,14 @@ def test_relayout_reindexes_one_lag_product_into_every_mode():
     for dims in [(2, 3), (3, 4, 5), (2, 1, 3, 2)]:
         x = rng.standard_normal((1,) + dims)
         products = {
-            mode: _pair_lag_products(_unfold_series(x, mode), 0)
+            mode: _pair_lag_products(_unfold_series(x, mode), 0)[0]
             for mode in range(1, len(dims) + 1)
         }
         for src in products:
             for dst in products:
-                assert np.array_equal(_relayout(products[src], src, dst, dims), products[dst])
+                out = np.empty(products[dst].shape)
+                assert _relayout(products[src], src, dst, dims, out) is out
+                assert np.array_equal(out, products[dst])
 
 
 def test_mode_stage_errors_name_the_mode(monkeypatch):

@@ -21,8 +21,9 @@ correlogram with --gamma set to the order-3 result is refused; four
 small replicate reports follow, one of them with no correct run and one
 over three lengths on two worker processes.  Last,
 ``segment`` runs on three malformed series files (a bad dimension line, a
-bad float and a byte that is not UTF-8), so their exit codes and error
-records enter the manifest too, and each subcommand's ``--help`` and one
+bad float and a byte that is not UTF-8) and on a 5x2x6 matrix series too
+short for the default lag window, so their exit codes and error records
+enter the manifest too, and each subcommand's ``--help`` and one
 usage error of each (exit 2) close the manifest, so the parser surface is
 compared as well.
 Commands run one at a time in a temporary directory, with relative paths.
@@ -50,6 +51,8 @@ MALFORMED = {
     "bad_float.txt": b"matseg,matrix,1\n2,1,2\n1.0,2.0\n3.0,x\n",
     "bad_utf8.txt": b"matseg,matrix,1\n2,1,2\n1.0,2.0\n3.0,4.0\xff\n",
 }
+# refused before any estimation: m = 10 exceeds n - 2
+SHORT = "short.txt"
 USAGE_ERRORS = {
     "simulate": ["--example", "4", "--n", "100", "--out", "x.txt"],
     "segment": ["ex1_n60.txt", "--out", "x.json", "--threshold", "median:3"],
@@ -67,6 +70,13 @@ def write_tensor(path: Path, dims: tuple[int, ...]) -> None:
     lines = ["matseg,tensor,1", ",".join(str(v) for v in (300, len(dims)) + dims)]
     # mode-major flattening, index 1 fastest, as the series format requires
     lines += [",".join(repr(float(v)) for v in x.ravel(order="F")) for x in data]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def write_short(path: Path) -> None:
+    """A 5x2x6 matrix series of standard normal entries in the matseg matrix format."""
+    rows = np.random.default_rng(11).standard_normal((5, 12))
+    lines = ["matseg,matrix,1", "5,2,6"] + [",".join(repr(float(v)) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -114,6 +124,7 @@ def commands() -> list[tuple[list[str], list[str]]]:
     for name in MALFORMED:
         result = f"{name}.seg.json"
         out.append((["segment", name, "--out", result], [result]))
+    out.append((["segment", SHORT, "--out", f"{SHORT}.seg.json"], [f"{SHORT}.seg.json"]))
     for command, flags in USAGE_ERRORS.items():
         out.append(([command, "--help"], []))
         out.append(([command] + flags, []))
@@ -149,6 +160,7 @@ def main() -> int:
             write_tensor(work / name, dims)
         for name, raw in MALFORMED.items():
             (work / name).write_bytes(raw)
+        write_short(work / SHORT)
         for argv, written in commands():
             run = subprocess.run(
                 [sys.executable, "-m", "matseg.cli"] + argv,
